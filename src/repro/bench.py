@@ -34,17 +34,6 @@ Phases
     dominated by the recompute path (tree walk per protocol event),
     the cost the fluid engine trades the per-packet event storm for
     (see docs/TRAFFIC.md).
-``kernel_sharded``
-    EXP-P2: the same EXP-S1 scale cell run on one kernel and then on
-    four conservatively synchronized shards (one worker process per
-    region, link-delay lookahead; see ``repro.sim.shard`` and
-    docs/PERFORMANCE.md).  Reports both rates, the speedup, the
-    barrier-round count and the merged trace digest.  The quick
-    profile uses a 31-router hierarchy; the full profile runs the
-    1,110-router EXP-S1 scenario.  Shard speedup is core-count
-    dependent, so :func:`main_bench` skips this phase's regression
-    gate when the baseline was produced on a machine with a different
-    ``cpu_count`` (it warns instead of silently gating).
 
 Schema (``BENCH_KERNEL.json``, ``bench-kernel/v1``)
 ---------------------------------------------------
@@ -282,66 +271,6 @@ def _phase_traffic_fluid() -> Dict[str, Any]:
     }
 
 
-#: kernel_sharded phase knobs: (model_params, receivers, duration) per
-#: profile.  The full profile is the 1,110-router EXP-S1 scenario the
-#: EXP-P2 gate is defined on; quick is a 31-router smoke cell.
-_SHARDED_QUICK = ({"depth": 2, "fanout": 5}, 100, 10.0)
-_SHARDED_FULL = ({"depth": 3, "fanout": 10}, 500, 20.0)
-_SHARDED_SHARDS = 4
-
-
-def _phase_kernel_sharded(quick: bool) -> Dict[str, Any]:
-    """EXP-P2: one kernel vs four conservatively synchronized shards.
-
-    Runs the same seeded EXP-S1 scale cell twice — ``shards=1`` (the
-    plain single-kernel path) and ``shards=4`` with one worker process
-    per region — and reports both throughputs plus their ratio.  The
-    phase's ``events_per_sec`` is the *sharded* rate (that is what the
-    baseline gate tracks); ``speedup`` is the headline EXP-P2 number.
-    Event counts differ slightly between the two runs (the sharded
-    replica models boundary-link serialization per replica, see
-    docs/PERFORMANCE.md), so each rate is computed from its own run.
-    """
-    from .core.scalestudy import scale_cell
-
-    model_params, receivers, duration = _SHARDED_QUICK if quick else _SHARDED_FULL
-    kwargs = dict(
-        model_params=model_params,
-        receivers=receivers,
-        groups=1,
-        mobility=0.05,
-        warmup=8.0,
-        duration=duration,
-        check_invariants=False,
-    )
-    started = perf_counter()
-    single = scale_cell(**kwargs)
-    single_wall = perf_counter() - started
-    single_rate = single["events"] / single_wall if single_wall > 0 else 0.0
-
-    started = perf_counter()
-    sharded = scale_cell(shards=_SHARDED_SHARDS, shard_executor="process", **kwargs)
-    sharded_wall = perf_counter() - started
-    events = sharded["events"]
-    rate = events / sharded_wall if sharded_wall > 0 else 0.0
-    shard_info = sharded["shards"]
-    return {
-        "events": events,
-        "wall_time_s": sharded_wall,
-        "events_per_sec": rate,
-        "shards": shard_info["count"],
-        "rounds": shard_info["rounds"],
-        "lookahead": shard_info["lookahead"],
-        "boundary_links": shard_info["boundary_links"],
-        "digest": shard_info["digest"],
-        "routers": sharded["routers"],
-        "single_events": single["events"],
-        "single_wall_time_s": single_wall,
-        "single_events_per_sec": single_rate,
-        "speedup": rate / single_rate if single_rate > 0 else 0.0,
-    }
-
-
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
@@ -368,7 +297,6 @@ def run_benchmarks(quick: bool = False, scale: float = 1.0) -> Dict[str, Any]:
     if not quick:
         phases["campaign"] = _phase_campaign()
         phases["topogen"] = _phase_topogen()
-    phases["kernel_sharded"] = _phase_kernel_sharded(quick)
 
     return {
         "schema": SCHEMA,
@@ -393,17 +321,13 @@ def check_regression(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
     tolerance: float = 0.2,
-    skip_phases: tuple = (),
 ) -> List[str]:
     """Compare two payloads; return human-readable failures (empty = ok).
 
     Every phase present in both payloads with a numeric
     ``events_per_sec`` must not fall more than ``tolerance`` (a
     fraction) below the baseline.  Phases only one side has are
-    ignored, so baselines survive adding new phases; phases named in
-    ``skip_phases`` are excluded from the gate (the caller is expected
-    to have warned about why — e.g. a core-count-dependent phase
-    compared across machines).
+    ignored, so baselines survive adding new phases.
 
     Payloads from different profiles (``quick``/``scale``) are not
     comparable — per-event cost depends on workload size — so a
@@ -423,8 +347,6 @@ def check_regression(
     base_phases = baseline.get("phases", {})
     cur_phases = current.get("phases", {})
     for name in sorted(base_phases.keys() & cur_phases.keys()):
-        if name in skip_phases:
-            continue
         base_rate = base_phases[name].get("events_per_sec")
         cur_rate = cur_phases[name].get("events_per_sec")
         if not base_rate or cur_rate is None:
@@ -492,21 +414,7 @@ def main_bench(
     except ValueError as exc:
         print_fn(f"error: invalid baseline JSON: {exc}")
         return 1
-    skip_phases: tuple = ()
-    base_cpus = base.get("env", {}).get("cpu_count")
-    cur_cpus = payload["env"]["cpu_count"]
-    if base_cpus != cur_cpus:
-        print_fn(
-            f"warning: baseline cpu_count={base_cpus} differs from this "
-            f"machine (cpu_count={cur_cpus}); shard speedup is core-count "
-            "dependent, so the kernel_sharded phase is excluded from the "
-            "regression gate (regenerate the baseline on this machine to "
-            "re-enable it)"
-        )
-        skip_phases = ("kernel_sharded",)
-    failures = check_regression(
-        payload, base, tolerance=tolerance, skip_phases=skip_phases
-    )
+    failures = check_regression(payload, base, tolerance=tolerance)
     if failures:
         for failure in failures:
             print_fn(f"PERF REGRESSION — {failure}")

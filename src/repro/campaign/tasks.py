@@ -258,8 +258,6 @@ def scale_cell_task(
     check_invariants: Optional[bool] = None,
     traffic_model: str = "packet",
     probe_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_executor: str = "process",
 ) -> Dict[str, Any]:
     from ..core.scalestudy import scale_cell
 
@@ -277,8 +275,6 @@ def scale_cell_task(
         check_invariants=check_invariants,
         traffic_model=traffic_model,
         probe_interval=probe_interval,
-        shards=shards,
-        shard_executor=shard_executor,
     )
 
 

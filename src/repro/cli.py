@@ -382,12 +382,19 @@ def _parse_scale_sizes(model: str, tokens) -> Optional[list]:
 def _sweep(args: argparse.Namespace) -> None:
     if args.repeats < 1:
         raise SystemExit(f"error: --repeats must be >= 1, got {args.repeats}")
-    if args.shards < 1:
-        raise SystemExit(f"error: --shards must be >= 1, got {args.shards}")
-    if args.shards != 1 and args.grid != "scale":
+    if min(args.receivers) < 1:
         raise SystemExit(
-            f"error: --shards applies to the scale grid only "
-            f"(got grid={args.grid!r})"
+            f"error: --receivers must be >= 1, got {min(args.receivers)}"
+        )
+    if min(args.groups) < 1:
+        raise SystemExit(f"error: --groups must be >= 1, got {min(args.groups)}")
+    if min(args.mobility) < 0:
+        raise SystemExit(
+            f"error: --mobility must be >= 0, got {min(args.mobility)}"
+        )
+    if args.duration <= 0:
+        raise SystemExit(
+            f"error: --duration must be positive, got {args.duration}"
         )
     registry = MetricsRegistry()
     runner = _campaign_runner(args, registry)
@@ -448,8 +455,6 @@ def _sweep(args: argparse.Namespace) -> None:
             duration=args.duration,
             traffic_model=traffic_model,
             probe_interval=probe_interval,
-            shards=args.shards,
-            shard_executor=args.shard_executor,
             runner=runner,
         )
         payload["report"] = report
@@ -1125,14 +1130,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale-grid mean handovers per receiver")
     sweep.add_argument("--duration", type=float, default=30.0,
                        help="scale-grid measurement window (sim seconds)")
-    sweep.add_argument("--shards", type=int, default=1,
-                       help="spatial regions per scale-grid cell, executed "
-                       "by the conservative sharded kernel (EXP-P2; packet "
-                       "traffic model only, default: 1)")
-    sweep.add_argument("--shard-executor", choices=("process", "inproc"),
-                       default="process",
-                       help="sharded-kernel executor: one worker process "
-                       "per region (default) or in-process reference")
     _add_traffic_flags(sweep)
     _add_supervisor_flags(sweep)
     _add_invariants_flag(sweep)

@@ -63,8 +63,6 @@ def scale_cell(
     check_invariants: Optional[bool] = None,
     traffic_model: str = "packet",
     probe_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_executor: str = "process",
 ) -> Dict[str, Any]:
     """One scaling-study cell: generate, populate, run, measure.
 
@@ -73,46 +71,11 @@ def scale_cell(
     (no wall-clock fields), preserving the campaign determinism and
     cache contracts.  ``traffic_model="fluid"`` swaps the per-packet
     CBR flows for analytic rate integration (``repro.traffic.fluid``)
-    and adds a ``traffic`` block to the result.  ``shards > 1`` splits
-    the topology into regions executed by the conservative sharded
-    kernel (:mod:`repro.sim.shard`) — packet mode only — and adds a
-    ``shards`` block.
+    and adds a ``traffic`` block to the result.
     """
     from ..invariants import InvariantMonitor, checking_enabled
     from ..net.topogen import build_network, topo_graph
     from ..traffic import make_traffic_model
-
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards!r}")
-    if shards > 1:
-        if traffic_model != "packet":
-            raise ValueError(
-                "sharded execution supports the packet traffic model only: "
-                "the fluid engine integrates global rates and cannot be "
-                "partitioned spatially (run fluid cells with shards=1)"
-            )
-        if check_invariants or (check_invariants is None and checking_enabled()):
-            raise ValueError(
-                "invariant checking is unsupported with shards > 1: the "
-                "oracles audit one kernel's global state (disable "
-                "--check-invariants or run with shards=1)"
-            )
-        from ..sim.shard.netrunner import run_sharded_scale_cell
-
-        return run_sharded_scale_cell(
-            model=model,
-            model_params=model_params,
-            receivers=receivers,
-            groups=groups,
-            mobility=mobility,
-            backend=backend,
-            seed=seed,
-            warmup=warmup,
-            duration=duration,
-            packet_interval=packet_interval,
-            shards=shards,
-            executor=shard_executor,
-        )
 
     spec = {"model": model, **(model_params or {})}
     graph = topo_graph(spec)
@@ -207,8 +170,6 @@ def scale_grid(
     check_invariants: Optional[bool] = None,
     traffic_model: str = "packet",
     probe_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_executor: str = "process",
 ) -> CampaignGrid:
     """The EXP-S1 grid: topology sizes × receiver populations × group
     counts × mobility rates."""
@@ -226,11 +187,6 @@ def scale_grid(
         base["traffic_model"] = traffic_model
         if probe_interval is not None:
             base["probe_interval"] = probe_interval
-    # same contract for sharding: single-kernel cache keys unchanged
-    if shards != 1:
-        base["shards"] = shards
-        if shard_executor != "process":
-            base["shard_executor"] = shard_executor
     return CampaignGrid(
         "scale.cell",
         axes={
@@ -257,8 +213,6 @@ def run_scale_sweep(
     check_invariants: Optional[bool] = None,
     traffic_model: str = "packet",
     probe_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_executor: str = "process",
     runner: Optional[CampaignRunner] = None,
     jobs: int = 1,
     cache_dir=None,
@@ -283,8 +237,6 @@ def run_scale_sweep(
         check_invariants=check_invariants,
         traffic_model=traffic_model,
         probe_interval=probe_interval,
-        shards=shards,
-        shard_executor=shard_executor,
     )
     if runner is None:
         runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, master_seed=seed)

@@ -69,22 +69,6 @@ class ScenarioConfig:
     #: control-plane categories only and, when disabled, no listener
     #: exists at all — the record hot path is untouched.
     trace_spans: Optional[bool] = None
-    #: simulator regions (:mod:`repro.sim.shard`).  The Figure 1 network
-    #: is far too small to shard — only ``1`` is accepted here; sharded
-    #: execution is an EXP-S1/EXP-P2 feature (``repro sweep scale
-    #: --shards N``).  The field exists so scenario configs round-trip
-    #: through campaign specs that carry a shard count.
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards!r}")
-        if self.shards != 1:
-            raise ValueError(
-                "the Figure 1 scenario harness runs on a single kernel; "
-                "sharded execution is available on generated topologies "
-                "via `repro sweep scale --shards N`"
-            )
 
 
 class PaperScenario:

@@ -82,16 +82,6 @@ class Link:
         #: neighbor cache: address -> owning interface (plus proxy entries)
         self._neighbor_cache: Dict[Address, "Interface"] = {}
         self._busy_until = 0.0
-        #: sharded-kernel hook (see :mod:`repro.sim.shard`): when set,
-        #: frames for interfaces owned by another shard are handed to
-        #: the router instead of being scheduled locally
-        self._shard_router = None
-
-    def set_shard_router(self, router) -> None:
-        """Install a shard router with ``local(iface)`` / ``ship(...)``.
-
-        ``None`` (the default) restores plain single-process delivery."""
-        self._shard_router = router
 
     # ------------------------------------------------------------------
     # loss model & administrative state
@@ -253,14 +243,10 @@ class Link:
         self._busy_until = start + tx_time
         arrival = start + tx_time + self.delay
 
-        shard_router = self._shard_router
         if l2_dst is not None:
-            if shard_router is None or shard_router.local(l2_dst):
-                self.sim.schedule_at(
-                    arrival, self._deliver_one, l2_dst, packet, label=f"{self.name}.rx"
-                )
-            else:
-                shard_router.ship(self, l2_dst, packet, arrival)
+            self.sim.schedule_at(
+                arrival, self._deliver_one, l2_dst, packet, label=f"{self.name}.rx"
+            )
         else:
             # Flood delivery: scheduling does not mutate the attachment
             # list, so iterate it directly — no per-frame list() copy.
@@ -269,10 +255,7 @@ class Link:
             for iface in self.interfaces:
                 if iface is sender:
                     continue
-                if shard_router is None or shard_router.local(iface):
-                    schedule_at(arrival, self._deliver_one, iface, packet, label=label)
-                else:
-                    shard_router.ship(self, iface, packet, arrival)
+                schedule_at(arrival, self._deliver_one, iface, packet, label=label)
 
     def _deliver_one(self, iface: "Interface", packet: Ipv6Packet) -> None:
         # The interface may have detached (mobile node moved) while the

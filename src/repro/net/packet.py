@@ -49,22 +49,6 @@ def reset_packet_uids() -> None:
     _packet_uid = itertools.count(1)
 
 
-def swap_packet_uid_counter(counter):
-    """Install ``counter`` as the uid source; return the previous one.
-
-    The sharded kernel's in-process executor keeps one full network
-    replica per shard in a single process; giving each replica its own
-    counter (swapped in around its dispatch windows) makes the uid
-    streams — and hence the per-shard trace digests — identical to the
-    multiprocessing executor, where each worker process naturally has
-    its own module state (see :mod:`repro.sim.shard`).
-    """
-    global _packet_uid
-    previous = _packet_uid
-    _packet_uid = counter
-    return previous
-
-
 class DestinationOption:
     """Base class for IPv6 destination options.
 

@@ -394,46 +394,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_below(self, bound: float, max_events: Optional[int] = None) -> int:
-        """Dispatch every pending event with ``time < bound`` (strict).
-
-        The window primitive of conservative parallel simulation
-        (:mod:`repro.sim.shard`): a shard granted the window
-        ``[now, bound)`` may dispatch everything strictly below the
-        bound, because lookahead guarantees no cross-shard message can
-        arrive inside it.  Unlike :meth:`run`, the clock is *not*
-        advanced to the bound — the next window may start earlier than
-        ``bound`` at another shard.  Returns the number of events
-        dispatched.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        dispatched = 0
-        try:
-            heap = self._heap
-            while heap:
-                head = heap[0]
-                if head[2].cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    heap = self._heap
-                    continue
-                if head[0] >= bound:
-                    break
-                heapq.heappop(heap)
-                self._dispatch(head[2])
-                dispatched += 1
-                if max_events is not None and dispatched > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway simulation?)"
-                    )
-                # callbacks may trigger compaction, which rebinds the heap
-                heap = self._heap
-        finally:
-            self._running = False
-        return dispatched
-
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         heap = self._heap

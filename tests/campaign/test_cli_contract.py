@@ -114,10 +114,16 @@ class TestBadArguments:
         [
             (["sweep", "--jobs", "0"], "--jobs must be >= 1"),
             (["sweep", "--jobs", "-4"], "--jobs must be >= 1"),
-            (["sweep", "scale", "--shards", "0"], "--shards must be >= 1"),
-            (["sweep", "scale", "--shards", "-2"], "--shards must be >= 1"),
-            (["sweep", "timers", "--shards", "2"],
-             "--shards applies to the scale grid only"),
+            (["sweep", "scale", "--groups", "0"], "--groups must be >= 1"),
+            (["sweep", "scale", "--receivers", "0"], "--receivers must be >= 1"),
+            (["sweep", "scale", "--receivers", "20", "-3"],
+             "--receivers must be >= 1"),
+            (["sweep", "scale", "--duration", "0"], "--duration must be positive"),
+            (["sweep", "scale", "--duration", "-5"],
+             "--duration must be positive"),
+            (["sweep", "scale", "--mobility", "-1"], "--mobility must be >= 0"),
+            (["sweep", "fluid", "--mobility", "0.5", "-0.1"],
+             "--mobility must be >= 0"),
             (["sweep", "timers", "--repeats", "0"], "--repeats must be >= 1"),
             (["faults", "--loss", "1.5"], "--loss rates must be in [0, 1)"),
             (["faults", "--approaches", "bogus"], "unknown approach"),

@@ -6,24 +6,10 @@ core.  These tests pin the unification: the same workload driven event
 by event through ``step()`` produces the identical trace digest,
 ``events_dispatched`` count, clock, profiler totals, and dispatch-hook
 stream as one ``run()`` call.
-
-The same contract extends to the sharded kernel
-(:mod:`repro.sim.shard`): ``TestShardedParity`` pins that shards=1
-leaves the single-kernel path byte-identical (seed goldens included),
-that shards=2/4 executions are run-to-run deterministic, and — via
-Hypothesis — that no random inter-shard schedule can ever make a shard
-dispatch out of timestamp order.
 """
-
-import json
-from pathlib import Path
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.obs import KernelProfiler, digest_events
 from repro.sim import PeriodicTimer, Simulator, Timer, Tracer
-from repro.sim.shard import ShardedSimulator
 
 
 def _build_workload():
@@ -119,167 +105,3 @@ class TestStepRunParity:
         assert digest_events(tr_run.events) == digest_events(tr_step.events)
         assert sim_run.events_dispatched == sim_step.events_dispatched
 
-
-# ----------------------------------------------------------------------
-# sharded kernel (repro.sim.shard)
-# ----------------------------------------------------------------------
-
-GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
-
-#: small seeded topogen cell shared by the determinism assertions
-_CELL = dict(
-    model_params={"depth": 2, "fanout": 3},
-    receivers=20,
-    groups=1,
-    mobility=0.1,
-    warmup=4.0,
-    duration=6.0,
-    check_invariants=False,
-)
-
-#: memoized scale-cell results (runs are deterministic per parameters)
-_cells = {}
-
-
-def _cell(shards=1, executor="inproc"):
-    from repro.core.scalestudy import scale_cell
-
-    key = (shards, executor)
-    if key not in _cells:
-        if shards == 1:
-            _cells[key] = scale_cell(**_CELL)
-        else:
-            _cells[key] = scale_cell(
-                shards=shards, shard_executor=executor, **_CELL
-            )
-    return _cells[key]
-
-
-class TestShardedParity:
-    def test_shards_1_matches_seed_golden_digest(self):
-        """An explicit ``shards=1`` config takes the untouched
-        single-kernel path: the fig2 seed-0 golden digest must hold
-        byte for byte."""
-        from repro.core import PaperScenario, ScenarioConfig
-        from repro.core.goldens import CANNED_RUNS
-
-        recipe = CANNED_RUNS["fig2"]
-        sc = PaperScenario(
-            ScenarioConfig(seed=0, approach=recipe.approach, shards=1)
-        )
-        sc.converge()
-        host, link = recipe.move
-        sc.move(host, link, at=recipe.move_at)
-        sc.run_until(recipe.run_until)
-
-        golden = json.loads((GOLDEN_DIR / "fig2-seed0.json").read_text())
-        events = sc.net.tracer.events
-        assert len(events) == golden["events"]
-        assert digest_events(events) == golden["digest"]
-
-    def test_shards_1_scale_cell_identical_to_default(self):
-        """``scale_cell(shards=1)`` is the plain single-kernel run —
-        the whole result dict, digests included, must be equal."""
-        from repro.core.scalestudy import scale_cell
-
-        assert scale_cell(shards=1, **_CELL) == _cell()
-
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_sharded_runs_are_deterministic(self, shards):
-        """Two fresh shards=N executions of the same seeded topogen
-        cell produce equal results — merged digest included."""
-        from repro.core.scalestudy import scale_cell
-
-        first = _cell(shards)
-        second = scale_cell(shards=shards, shard_executor="inproc", **_CELL)
-        assert first == second
-        assert first["shards"]["count"] == shards
-        assert len(first["shards"]["digests"]) == shards
-
-    def test_process_executor_matches_inproc(self):
-        """The multiprocessing executor runs the same barrier rounds as
-        the in-process reference: per-shard digests are byte-identical."""
-        inproc, process = _cell(2), _cell(2, "process")
-        assert process["shards"]["digests"] == inproc["shards"]["digests"]
-        assert process["shards"]["digest"] == inproc["shards"]["digest"]
-        a = {k: v for k, v in process.items() if k != "shards"}
-        b = {k: v for k, v in inproc.items() if k != "shards"}
-        assert a == b
-
-    def test_shard_counts_are_validated(self):
-        from repro.core import ScenarioConfig
-        from repro.core.scalestudy import scale_cell
-
-        with pytest.raises(ValueError):
-            scale_cell(shards=0, **_CELL)
-        with pytest.raises(ValueError):
-            ScenarioConfig(shards=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(shards=2)  # Figure 1 harness is single-kernel
-
-
-# --- Hypothesis: random inter-shard schedules stay timestamp-ordered ---
-
-N_SHARDS = 3
-
-#: a message chain hop: (destination shard, extra delay past lookahead)
-_hop = st.tuples(
-    st.integers(min_value=0, max_value=N_SHARDS - 1),
-    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
-)
-#: a seed event: (shard, time, chain of cross-shard hops it triggers)
-_event = st.tuples(
-    st.integers(min_value=0, max_value=N_SHARDS - 1),
-    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    st.lists(_hop, max_size=2),
-)
-
-
-def _build_sharded_workload(spec, lookahead):
-    """Schedule ``spec`` on a 3-shard kernel; every dispatch appends
-    ``(time, tag)`` to its shard's log, and each hop sends onward at
-    ``now + lookahead + extra`` (the tightest legal stamp)."""
-    sharded = ShardedSimulator(shards=N_SHARDS, lookahead=lookahead)
-    logs = [[] for _ in range(N_SHARDS)]
-
-    def make_cb(shard, tag, hops):
-        def cb():
-            now = sharded.sims[shard].now
-            logs[shard].append((now, tag))
-            if hops:
-                (dst, extra), rest = hops[0], hops[1:]
-                sharded.send(
-                    shard, dst, now + lookahead + extra,
-                    make_cb(dst, tag + ">", rest), label=tag,
-                )
-        return cb
-
-    for i, (shard, time, hops) in enumerate(spec):
-        sharded.schedule_at(time, make_cb(shard, f"e{i}", hops), shard=shard)
-    return sharded, logs
-
-
-class TestShardedOrdering:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        spec=st.lists(_event, min_size=1, max_size=12),
-        lookahead=st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
-    )
-    def test_random_schedules_never_dispatch_out_of_order(
-        self, spec, lookahead
-    ):
-        """No barrier-round window may admit a message behind a shard's
-        clock: every per-shard dispatch stream is time-monotone, and a
-        fully stepped execution equals a run() one stream for stream."""
-        run_sim, run_logs = _build_sharded_workload(spec, lookahead)
-        run_sim.run()
-        for log in run_logs:
-            times = [t for t, _tag in log]
-            assert times == sorted(times)
-
-        step_sim, step_logs = _build_sharded_workload(spec, lookahead)
-        while step_sim.step():
-            pass
-        assert step_logs == run_logs
-        assert step_sim.events_dispatched == run_sim.events_dispatched
-        assert run_sim.events_pending == step_sim.events_pending == 0

@@ -39,11 +39,10 @@ class TestBenchReport:
         assert payload["quick"] is True
         for key in ("python", "implementation", "platform", "cpu_count"):
             assert key in payload["env"]
-        # quick mode: kernel + scenario + fluid + sharded phases,
-        # campaign/topogen skipped
+        # quick mode: kernel + scenario + fluid phases, campaign/topogen
+        # skipped
         assert set(payload["phases"]) == {
             "dispatch", "timer_restart", "scenario", "traffic_fluid",
-            "kernel_sharded",
         }
         for phase in payload["phases"].values():
             assert phase["events"] > 0
@@ -52,12 +51,6 @@ class TestBenchReport:
         restart = payload["phases"]["timer_restart"]
         assert restart["peak_heap"] >= 1
         assert restart["final_heap"] == 0
-        sharded = payload["phases"]["kernel_sharded"]
-        assert sharded["shards"] == 4
-        assert sharded["rounds"] > 1
-        assert sharded["single_events_per_sec"] > 0
-        assert sharded["speedup"] > 0
-        assert len(sharded["digest"]) == 64
         assert payload["events_per_sec"] == (
             payload["phases"]["dispatch"]["events_per_sec"]
         )
@@ -102,49 +95,6 @@ class TestRegressionGate:
         baseline = copy.deepcopy(quick_payload)
         del baseline["phases"]["scenario"]
         assert check_regression(quick_payload, baseline) == []
-
-    def test_skip_phases_excluded_from_gate(self, quick_payload):
-        """A phase named in ``skip_phases`` never fails the gate — the
-        machine-shaped ``kernel_sharded`` exemption relies on this."""
-        inflated = copy.deepcopy(quick_payload)
-        inflated["phases"]["kernel_sharded"]["events_per_sec"] *= 10.0
-        assert check_regression(quick_payload, inflated) != []
-        assert check_regression(
-            quick_payload, inflated, skip_phases=("kernel_sharded",)
-        ) == []
-
-    def test_cpu_count_mismatch_warns_and_skips_kernel_sharded(
-        self, tmp_path, capsys
-    ):
-        """A baseline produced on a machine with a different core count
-        must not gate the core-count-dependent ``kernel_sharded`` phase:
-        the CLI warns and exempts it, while other phases still gate."""
-        baseline = tmp_path / "baseline.json"
-        out = tmp_path / "BENCH_KERNEL.json"
-        main(["bench", "--quick", "--scale", SCALE, "--output", str(baseline)])
-        doctored = json.loads(baseline.read_text())
-        doctored["env"]["cpu_count"] = (doctored["env"]["cpu_count"] or 1) + 7
-        # timing-independent: every other phase's floor is ~zero, and
-        # kernel_sharded alone is impossibly fast in the baseline
-        for name, phase in doctored["phases"].items():
-            if phase.get("events_per_sec"):
-                phase["events_per_sec"] = 1e-6
-        doctored["phases"]["kernel_sharded"]["events_per_sec"] = 1e12
-        write_report(doctored, str(baseline))
-        # with the fingerprint mismatch the run must pass, with a warning
-        main(["bench", "--quick", "--scale", SCALE, "--output", str(out),
-              "--baseline", str(baseline)])
-        printed = capsys.readouterr().out
-        assert "warning: baseline cpu_count=" in printed
-        assert "PERF REGRESSION" not in printed
-        # ... but a regression in any other phase still fails
-        doctored["phases"]["dispatch"]["events_per_sec"] = 1e12
-        write_report(doctored, str(baseline))
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--quick", "--scale", SCALE, "--output", str(out),
-                  "--baseline", str(baseline)])
-        assert exc.value.code == 1
-        assert "PERF REGRESSION — dispatch" in capsys.readouterr().out
 
     def test_profile_mismatch_is_a_failure(self, quick_payload):
         """A full-profile run gated on a quick baseline (or vice versa)
