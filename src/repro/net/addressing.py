@@ -112,24 +112,35 @@ class Prefix:
     True
     >>> str(p.address_for_host(5))
     '2001:db8:1::5'
+
+    ``key`` is the network part as an int (the address shifted right by
+    ``128 - prefix_len``): an address ``a`` is in the prefix exactly when
+    ``a >> (128 - prefix_len) == key``.  FIB lookups probe on it.
     """
 
-    __slots__ = ("_net",)
+    __slots__ = ("_net", "_shift", "key")
 
     def __init__(self, value: Union[str, "Prefix", ipaddress.IPv6Network]) -> None:
         if isinstance(value, Prefix):
             self._net = value._net
-        elif isinstance(value, ipaddress.IPv6Network):
+            self._shift = value._shift
+            self.key = value.key
+            return
+        if isinstance(value, ipaddress.IPv6Network):
             self._net = value
         else:
             self._net = ipaddress.IPv6Network(value)
+        self._shift = 128 - self._net.prefixlen
+        self.key = int(self._net.network_address) >> self._shift
 
     @property
     def prefix_len(self) -> int:
         return self._net.prefixlen
 
     def contains(self, address: Address) -> bool:
-        return Address(address)._addr in self._net
+        if not isinstance(address, Address):
+            address = Address(address)
+        return int(address._addr) >> self._shift == self.key
 
     def address_for_host(self, host_id: int) -> Address:
         """Form an address on this prefix with the given interface id.

@@ -1,19 +1,31 @@
 """Unit tests for FIB computation, verified against networkx."""
 
+import ipaddress
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.net import Address, Network, Prefix, RouteEntry, RoutingTable
+from repro.net import (
+    Address,
+    Network,
+    Prefix,
+    RouteEntry,
+    RoutingTable,
+    compute_router_fibs,
+)
+from repro.net.topogen import build_network, topo_graph
 from repro.pimdm import MulticastRouter
 
 from topo_helpers import build_line
 
 
+class FakeIface:
+    link = None
+
+
 class TestRoutingTable:
     def _entry(self, prefix, metric=1):
-        class FakeIface:
-            link = None
-
         return RouteEntry(Prefix(prefix), FakeIface(), None, metric)
 
     def test_lookup_match(self):
@@ -142,3 +154,135 @@ class TestFibComputation:
             entry = paper.routers[name].routing.lookup(target)
             assert entry.iface.link.name == "L3"
             assert entry.metric == 3
+
+
+# ----------------------------------------------------------------------
+# longest-prefix match against a brute-force reference
+# ----------------------------------------------------------------------
+# A few high words and small low words, so prefixes of different
+# lengths overlap and addresses often fall in several of them.
+_values = st.builds(
+    lambda top, a, b, low: (top << 96) | (a << 80) | (b << 64) | low,
+    st.sampled_from([0x20010DB8, 0x20010DB9]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+_prefixes = st.builds(
+    lambda value, plen: Prefix(
+        ipaddress.IPv6Network(((value >> (128 - plen)) << (128 - plen), plen))
+    ),
+    _values,
+    st.sampled_from([0, 32, 48, 64, 128]),
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), _prefixes, st.integers(1, 9)),
+        st.tuples(st.just("remove"), _prefixes),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+def _reference_lookup(reference, value):
+    best = None
+    address = ipaddress.IPv6Address(value)
+    for prefix, entry in reference.items():
+        if address in ipaddress.IPv6Network(str(prefix)):
+            if best is None or prefix.prefix_len > best.prefix.prefix_len:
+                best = entry
+    return best
+
+
+class TestLongestPrefixMatchProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_ops, st.lists(_values, min_size=1, max_size=8))
+    def test_lookup_matches_brute_force(self, ops, probes):
+        table = RoutingTable()
+        reference = {}
+        for op in ops:
+            if op[0] == "install":
+                entry = RouteEntry(op[1], FakeIface(), None, op[2])
+                table.install(entry)
+                reference[op[1]] = entry
+            elif op[0] == "remove":
+                table.remove(op[1])
+                reference.pop(op[1], None)
+            else:
+                table.clear()
+                reference.clear()
+            for value in probes:
+                assert table.lookup(Address(value)) is _reference_lookup(reference, value)
+            assert len(table) == len(reference)
+            assert {e.prefix: e for e in table.entries()} == reference
+
+
+# ----------------------------------------------------------------------
+# FIBs on generated topologies against networkx
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "spec",
+    [{"model": "hier", "depth": 2, "fanout": 3}, {"model": "waxman", "n": 20, "seed": 3}],
+    ids=["hier-2x3", "waxman-20"],
+)
+def test_generated_topology_fibs_match_networkx(spec):
+    net = build_network(topo_graph(spec)).net
+    routers = net.routers()
+    links = list(net.links.values())
+    net.build_routes()
+    assert compute_router_fibs(routers, links) is None
+
+    g = nx.Graph()
+    for router in routers:
+        for iface in router.interfaces:
+            g.add_edge(f"r:{router.name}", f"l:{iface.link.name}")
+    fib = {
+        router.name: {str(e.prefix): e for e in router.routing.entries()}
+        for router in routers
+    }
+
+    for router in routers:
+        lengths = nx.single_source_shortest_path_length(g, f"r:{router.name}")
+        for link in links:
+            entry = fib[router.name][str(link.prefix)]
+            # the path alternates router and link nodes
+            assert entry.metric == (lengths[f"l:{link.name}"] + 1) // 2, (router.name, link.name)
+            assert router.routing.lookup(link.prefix.address_for_host(200)) is entry
+            if entry.connected:
+                assert entry.metric == 1 and entry.iface.link is link
+                continue
+            upstream = [
+                iface.node
+                for iface in entry.iface.link.interfaces
+                if iface.node.is_router and entry.next_hop in iface.addresses
+            ]
+            assert len(upstream) == 1, (router.name, link.name)
+            assert not entry.next_hop.is_link_local
+            assert fib[upstream[0].name][str(link.prefix)].metric == entry.metric - 1
+
+
+def _line_with_stub(stub_links):
+    """The 2-router line plus router RX with no address, attached to L2
+    and to ``stub_links`` extra links that no other router is on."""
+    topo = build_line(2)
+    stub = MulticastRouter(topo.net.sim, "RX", tracer=topo.net.tracer, rng=topo.net.rng)
+    stub.attach_to(topo.links[2])
+    for i in range(stub_links):
+        stub.attach_to(topo.net.add_link(f"S{i}", f"2001:db8:f{i}::/64"))
+    topo.net.register_node(stub)
+    return topo
+
+
+def test_addressless_router_is_fine_when_no_path_leaves_through_it():
+    topo = _line_with_stub(0)
+    topo.net.build_routes()
+    entry = topo.net.node("RX").routing.lookup(Address("2001:db8:1::99"))
+    assert entry.metric == 3
+    assert entry.next_hop == topo.links[2].prefix.address_for_host(2)
+
+
+def test_addressless_router_raises_when_a_path_leaves_through_it():
+    topo = _line_with_stub(1)
+    with pytest.raises(ValueError, match="RX has no global address on L2"):
+        topo.net.build_routes()
