@@ -1,10 +1,15 @@
 """IPv6 addressing for the simulated network.
 
-Thin, hashable wrappers over :mod:`ipaddress` plus the well-known
-constants the protocols need (all-nodes / all-routers link-scope
-multicast, the all-PIM-routers group) and helpers for stateless
-autoconfiguration, which Mobile IPv6 uses to form care-of addresses on
-foreign links (RFC 2462 — reference [14] of the paper).
+:class:`Address` is an immutable value holding one 128-bit int.  Every
+per-packet question the protocols ask of it (equality, hashing,
+ordering, multicast / link-local scope) is a comparison or bit test on
+that int.  :mod:`ipaddress` is used only at the edges: to parse input
+and to format an address, once, the first time its text is needed.
+The module also has :class:`Prefix`, the well-known constants the
+protocols need (all-nodes / all-routers link-scope multicast, the
+all-PIM-routers group) and helpers for stateless autoconfiguration,
+which Mobile IPv6 uses to form care-of addresses on foreign links
+(RFC 2462 — reference [14] of the paper).
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ class Address:
     """An IPv6 address.
 
     Immutable, hashable, ordered (MLD querier election and PIM-DM assert
-    tie-breaks compare addresses numerically).
+    tie-breaks compare addresses numerically).  ``Address(a)`` of an
+    ``Address`` returns ``a`` itself, so an address keeps its formatted
+    text through packet clones, tunnels and trace records.  A zone index
+    (``fe80::1%eth0``) is accepted but not kept.
 
     >>> Address("2001:db8:1::10").is_multicast
     False
@@ -42,66 +50,78 @@ class Address:
     True
     """
 
-    __slots__ = ("_addr",)
+    __slots__ = ("_int", "_text")
 
-    def __init__(self, value: _AddressLike) -> None:
-        if isinstance(value, Address):
-            self._addr = value._addr
-        elif isinstance(value, ipaddress.IPv6Address):
-            self._addr = value
-        else:
-            self._addr = ipaddress.IPv6Address(value)
+    def __new__(cls, value: _AddressLike) -> "Address":
+        if type(value) is Address:
+            return value
+        self = object.__new__(cls)
+        self._int = int(ipaddress.IPv6Address(value))
+        self._text = None
+        return self
+
+    def __reduce__(self):
+        return (Address, (self._int,))
 
     # ------------------------------------------------------------------
     @property
     def is_multicast(self) -> bool:
-        return self._addr.is_multicast
+        """True for ff00::/8."""
+        return self._int >> 120 == 0xFF
 
     @property
     def is_link_local(self) -> bool:
-        return self._addr.is_link_local
+        """True for fe80::/10."""
+        return self._int >> 118 == 0x3FA
 
     @property
     def is_link_scope_multicast(self) -> bool:
-        """True for ff02::/16 — packets that must never be forwarded."""
-        return self.is_multicast and (int(self._addr) >> 112) & 0xF == 0x2
+        """True for link-scope multicast (scope field 2: ff02::/16, ff12::/16,
+        ...) — packets that must never be forwarded."""
+        return (self._int >> 112) & 0xFF0F == 0xFF02
 
     @property
     def is_unspecified(self) -> bool:
-        return self._addr == ipaddress.IPv6Address("::")
+        return self._int == 0
 
     def as_int(self) -> int:
-        return int(self._addr)
+        return self._int
 
     def packed(self) -> bytes:
         """16-byte network-order representation (wire format)."""
-        return self._addr.packed
+        return self._int.to_bytes(16, "big")
 
     @classmethod
     def from_packed(cls, data: bytes) -> "Address":
         if len(data) != 16:
             raise ValueError(f"IPv6 address needs 16 bytes, got {len(data)}")
-        return cls(ipaddress.IPv6Address(data))
+        return cls(int.from_bytes(data, "big"))
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Address):
-            return self._addr == other._addr
-        if isinstance(other, (str, int, ipaddress.IPv6Address)):
-            return self._addr == Address(other)._addr
-        return NotImplemented
+        if type(other) is not Address:
+            if not isinstance(other, (str, int, ipaddress.IPv6Address)):
+                return NotImplemented
+            try:
+                other = Address(other)
+            except ipaddress.AddressValueError:
+                return False
+        return self._int == other._int
 
     def __lt__(self, other: "Address") -> bool:
-        return self._addr < Address(other)._addr
+        return self._int < Address(other)._int
 
     def __hash__(self) -> int:
-        return hash(self._addr)
+        return hash(self._int)
 
     def __str__(self) -> str:
-        return str(self._addr)
+        text = self._text
+        if text is None:
+            text = self._text = str(ipaddress.IPv6Address(self._int))
+        return text
 
     def __repr__(self) -> str:
-        return f"Address({str(self._addr)!r})"
+        return f"Address({str(self)!r})"
 
 
 class Prefix:
@@ -138,9 +158,7 @@ class Prefix:
         return self._net.prefixlen
 
     def contains(self, address: Address) -> bool:
-        if not isinstance(address, Address):
-            address = Address(address)
-        return int(address._addr) >> self._shift == self.key
+        return Address(address)._int >> self._shift == self.key
 
     def address_for_host(self, host_id: int) -> Address:
         """Form an address on this prefix with the given interface id.
@@ -197,4 +215,4 @@ def make_multicast_group(group_id: int) -> Address:
     """
     if not 0 < group_id < 2**32:
         raise ValueError(f"group_id out of range: {group_id}")
-    return Address(int(Address("ff1e::").as_int()) + group_id)
+    return Address(Address("ff1e::").as_int() + group_id)

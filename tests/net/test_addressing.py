@@ -1,5 +1,9 @@
 """Unit + property tests for IPv6 addressing."""
 
+import copy
+import ipaddress
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,13 +28,42 @@ class TestAddress:
 
     def test_copy_constructor(self):
         a = Address("::1")
-        assert Address(a) == a
+        assert Address(a) is a
+
+    def test_from_ipv6address(self):
+        assert Address(ipaddress.IPv6Address("ff1e::9")) == Address("ff1e::9")
+
+    @pytest.mark.parametrize("bad", ["A", "2001:db8::/64", "1.2.3.4", -1, 2**128])
+    def test_bad_input_raises(self, bad):
+        with pytest.raises(ipaddress.AddressValueError):
+            Address(bad)
 
     def test_equality_across_notations(self):
         assert Address("ff02::1") == Address("ff02:0:0:0:0:0:0:1")
 
     def test_equality_with_string(self):
         assert Address("ff02::1") == "ff02::1"
+
+    def test_equality_with_non_address_is_false(self):
+        a = Address("::1")
+        assert (a == "A") is False
+        assert ("A" == a) is False
+        assert (a == 2**128) is False
+        assert (a == None) is False  # noqa: E711
+
+    def test_inequality_with_non_address_is_true(self):
+        a = Address("::1")
+        assert a != "A"
+        assert "A" != a
+
+    def test_membership_in_mixed_list(self):
+        a = Address("::1")
+        assert a not in ["A", "router-1", -1, None]
+        assert a in ["A", "::1"]
+
+    def test_ordering_with_non_address_raises(self):
+        with pytest.raises(ipaddress.AddressValueError):
+            Address("::1") < "A"
 
     def test_hashable(self):
         assert len({Address("::1"), Address("0::1")}) == 1
@@ -76,6 +109,85 @@ class TestAddress:
     def test_packed_roundtrip_property(self, value):
         a = Address(value)
         assert Address.from_packed(a.packed()) == a
+
+    def test_formatted_once(self):
+        a = Address((0x2001_0DB8 << 96) | 5)
+        assert str(a) is str(a)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_roundtrip(self, protocol):
+        a = Address("ff1e::7")
+        str(a)
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert b == a and hash(b) == hash(a) and str(b) == "ff1e::7"
+
+    def test_copy_and_deepcopy_roundtrip(self):
+        a = Address("2001:db8:1::10")
+        for b in (copy.copy(a), copy.deepcopy(a), copy.deepcopy([a])[0]):
+            assert b == a and hash(b) == hash(a) and str(b) == str(a)
+
+
+_MAX = 2**128 - 1
+
+#: Top 16 bits on both sides of the fe80::/10 and ff00::/8 edges, plus
+#: link-scope multicast (ff02, ff12) beside other scopes.
+_EDGE_TOPS = (
+    0x0000, 0xFE7F, 0xFE80, 0xFEBF, 0xFEC0, 0xFEFF,
+    0xFF00, 0xFF01, 0xFF02, 0xFF05, 0xFF12, 0xFFFF,
+)
+
+#: Exact boundary values; each is also tried one above and one below.
+_EDGE_POINTS = (
+    0, 0xFE7F_FFFF << 96, 0xFE80 << 112, 0xFEBF_FFFF << 96, 0xFEC0 << 112, 0xFF00 << 112, _MAX,
+)
+
+ints_128 = st.one_of(
+    st.integers(min_value=0, max_value=_MAX),
+    st.builds(
+        lambda top, low: (top << 112) | low,
+        st.sampled_from(_EDGE_TOPS),
+        st.integers(min_value=0, max_value=2**112 - 1),
+    ),
+    st.builds(
+        lambda point, step: min(max(point + step, 0), _MAX),
+        st.sampled_from(_EDGE_POINTS),
+        st.integers(min_value=-1, max_value=1),
+    ),
+)
+
+
+class TestAgainstIpaddress:
+    """``ipaddress.IPv6Address`` is the reference for every 128-bit value."""
+
+    @given(ints_128)
+    def test_text_and_wire_forms(self, value):
+        a, ref = Address(value), ipaddress.IPv6Address(value)
+        assert str(a) == str(ref)
+        assert repr(a) == f"Address({str(ref)!r})"
+        assert a.packed() == ref.packed
+
+    @given(ints_128)
+    def test_predicates(self, value):
+        a, ref = Address(value), ipaddress.IPv6Address(value)
+        assert a.is_multicast == ref.is_multicast
+        assert a.is_link_local == ref.is_link_local
+        assert a.is_unspecified == ref.is_unspecified
+        # Link scope is scope field 2, the low nibble of byte 1 (RFC 4291).
+        assert a.is_link_scope_multicast == (ref.is_multicast and ref.packed[1] & 0x0F == 0x2)
+
+    @given(ints_128, ints_128)
+    def test_order_follows_the_int(self, x, y):
+        a, b = Address(x), Address(y)
+        assert (a < b) == (x < y)
+        assert (a > b) == (x > y)
+        assert (a == b) == (x == y)
+
+    @given(ints_128)
+    def test_equal_values_hash_equal(self, value):
+        a = Address(value)
+        b = Address(ipaddress.IPv6Address(value).exploded)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
 
 
 class TestPrefix:
