@@ -355,9 +355,17 @@ def _campaign_runner(args: argparse.Namespace, registry) -> CampaignRunner:
         raise SystemExit(f"error: invalid --cache-dir: {exc}")
 
 
+_SIZE_RANGES = {
+    "hier": "depth and fanout must be >= 1",
+    "fattree": "k must be even and >= 2",
+    "waxman": "n must be >= 1",
+}
+
+
 def _parse_scale_sizes(model: str, tokens) -> Optional[list]:
     """``--sizes`` tokens to model-param dicts: hier takes DEPTHxFANOUT
-    pairs ("3x10"), fattree takes k values, waxman takes node counts."""
+    pairs ("3x10"), fattree takes k values, waxman takes node counts;
+    out-of-range sizes are rejected here, before any cell runs."""
     if tokens is None:
         return None
     sizes = []
@@ -365,17 +373,26 @@ def _parse_scale_sizes(model: str, tokens) -> Optional[list]:
         try:
             if model == "hier":
                 depth, _, fanout = tok.partition("x")
-                sizes.append({"depth": int(depth), "fanout": int(fanout)})
+                size = {"depth": int(depth), "fanout": int(fanout)}
+                in_range = size["depth"] >= 1 and size["fanout"] >= 1
             elif model == "fattree":
-                sizes.append({"k": int(tok)})
+                size = {"k": int(tok)}
+                in_range = size["k"] >= 2 and size["k"] % 2 == 0
             else:
-                sizes.append({"n": int(tok)})
+                size = {"n": int(tok)}
+                in_range = size["n"] >= 1
         except ValueError:
             expect = "DEPTHxFANOUT" if model == "hier" else "an integer"
             raise SystemExit(
                 f"error: bad --sizes token {tok!r} for model {model!r} "
                 f"(expected {expect})"
             )
+        if not in_range:
+            raise SystemExit(
+                f"error: bad --sizes token {tok!r} for model {model!r} "
+                f"({_SIZE_RANGES[model]})"
+            )
+        sizes.append(size)
     return sizes
 
 

@@ -124,6 +124,26 @@ class TestBadArguments:
             (["sweep", "scale", "--mobility", "-1"], "--mobility must be >= 0"),
             (["sweep", "fluid", "--mobility", "0.5", "-0.1"],
              "--mobility must be >= 0"),
+            (["sweep", "scale", "--sizes", "0x3"],
+             "bad --sizes token '0x3' for model 'hier' "
+             "(depth and fanout must be >= 1)"),
+            (["sweep", "scale", "--sizes", "2x3", "2x0"],
+             "bad --sizes token '2x0' for model 'hier' "
+             "(depth and fanout must be >= 1)"),
+            (["sweep", "scale", "--sizes=-1x3"],
+             "bad --sizes token '-1x3' for model 'hier' "
+             "(depth and fanout must be >= 1)"),
+            (["sweep", "scale", "--topo-model", "fattree", "--sizes", "3"],
+             "bad --sizes token '3' for model 'fattree' "
+             "(k must be even and >= 2)"),
+            (["sweep", "scale", "--topo-model", "fattree", "--sizes", "0"],
+             "bad --sizes token '0' for model 'fattree' "
+             "(k must be even and >= 2)"),
+            (["sweep", "scale", "--topo-model", "waxman", "--sizes", "0"],
+             "bad --sizes token '0' for model 'waxman' (n must be >= 1)"),
+            (["sweep", "fluid", "--sizes", "0x5"],
+             "bad --sizes token '0x5' for model 'hier' "
+             "(depth and fanout must be >= 1)"),
             (["sweep", "timers", "--repeats", "0"], "--repeats must be >= 1"),
             (["faults", "--loss", "1.5"], "--loss rates must be in [0, 1)"),
             (["faults", "--approaches", "bogus"], "unknown approach"),

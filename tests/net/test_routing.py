@@ -1,6 +1,9 @@
-"""Unit tests for FIB computation, verified against networkx."""
+"""Unit tests for FIB computation, verified against networkx and
+against a name-keyed reference builder."""
 
+import gc
 import ipaddress
+import re
 
 import networkx as nx
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.net import (
     Address,
     Network,
+    Node,
     Prefix,
     RouteEntry,
     RoutingTable,
@@ -286,3 +290,334 @@ def test_addressless_router_raises_when_a_path_leaves_through_it():
     topo = _line_with_stub(1)
     with pytest.raises(ValueError, match="RX has no global address on L2"):
         topo.net.build_routes()
+
+
+# ----------------------------------------------------------------------
+# routes identical to the name-keyed reference builder
+# ----------------------------------------------------------------------
+def _reference_fibs(routers, links, tables=None):
+    """Name-keyed shortest-path FIBs: one BFS per destination link over
+    router and link names, ties broken by link then router name,
+    installing one ``RouteEntry`` per reached router in BFS order.
+
+    Installs into ``tables`` (router name -> RoutingTable), fresh empty
+    tables by default, and returns them.
+    """
+    if tables is None:
+        tables = {r.name: RoutingTable() for r in routers}
+    routers_by_name = {r.name: r for r in routers}
+    iface_on = {}
+    for router in routers:
+        for iface in router.interfaces:
+            if iface.link is not None:
+                iface_on.setdefault((router.name, iface.link.name), iface)
+
+    router_names_on_link = {}
+    for link in links:
+        router_names_on_link[link.name] = sorted(
+            iface.node.name
+            for iface in link.interfaces
+            if iface.node.name in routers_by_name
+        )
+
+    attachments = {}
+    for router in routers:
+        attached = sorted(
+            (iface.link for iface in router.interfaces if iface.link is not None),
+            key=lambda link: link.name,
+        )
+        attachments[router.name] = [
+            (link, router_names_on_link[link.name]) for link in attached
+        ]
+
+    next_hops = {}
+    for dest_link in links:
+        frontier = router_names_on_link[dest_link.name]
+        reached = {
+            name: (1, iface_on[(name, dest_link.name)], None) for name in frontier
+        }
+        while frontier:
+            next_frontier = []
+            for name in frontier:
+                metric = reached[name][0] + 1
+                for link, neighbours in attachments[name]:
+                    if link is dest_link:
+                        continue
+                    next_hop = None
+                    for neigh_name in neighbours:
+                        if neigh_name in reached:
+                            continue
+                        if next_hop is None:
+                            key = (name, link.name)
+                            next_hop = next_hops.get(key)
+                            if next_hop is None:
+                                next_hop = next_hops[key] = _reference_global_address(
+                                    iface_on[key]
+                                )
+                        reached[neigh_name] = (
+                            metric,
+                            iface_on[(neigh_name, link.name)],
+                            next_hop,
+                        )
+                        next_frontier.append(neigh_name)
+            frontier = sorted(next_frontier)
+
+        for name, (metric, iface, next_hop) in reached.items():
+            tables[name].install(RouteEntry(dest_link.prefix, iface, next_hop, metric))
+    return tables
+
+
+def _reference_global_address(iface):
+    for addr in iface.addresses:
+        if not addr.is_link_local and not addr.is_multicast:
+            return addr
+    raise ValueError(f"{iface.node.name} has no global address on {iface.link.name}")
+
+
+def _rows(entries):
+    return [(str(e.prefix), e.iface.name, str(e.next_hop), e.metric) for e in entries]
+
+
+def _generated(spec):
+    return lambda: build_network(topo_graph(spec)).net
+
+
+def _paper():
+    from repro.core import build_paper_network
+
+    return build_paper_network(seed=0).net
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [
+        _generated({"model": "figure1"}),
+        _paper,
+        _generated({"model": "hier", "depth": 3, "fanout": 5}),
+        _generated({"model": "waxman", "n": 40, "seed": 7}),
+        _generated({"model": "waxman", "n": 80, "seed": 3}),
+        _generated({"model": "fattree", "k": 4}),
+        _generated({"model": "fattree", "k": 6}),
+    ],
+    ids=[
+        "figure1", "paper", "hier-3x5", "waxman-40", "waxman-80", "fattree-4", "fattree-6"
+    ],
+)
+def test_routes_match_reference_builder(make_net):
+    """Same routes, same equal-cost winners, same order in every table."""
+    net = make_net()
+    routers = net.routers()
+    expected = _reference_fibs(routers, list(net.links.values()))
+    net.build_routes()
+    for router in routers:
+        assert _rows(router.routing.entries()) == _rows(
+            expected[router.name].entries()
+        ), router.name
+
+
+def test_equal_cost_ties_follow_router_then_link_names():
+    """R2 hears L9 from R0 and R1 over L5: R0, the lower name, wins
+    although R1 was created first.  R3 hears it from R0 over L2, L1 and
+    L3: L1, the lowest name, wins although it was created neither first
+    nor last."""
+    net = Network(seed=0)
+    l9, l5, l2, l1, l3 = (
+        net.add_link(name, f"2001:db8:{k + 1:x}::/64")
+        for k, name in enumerate(["L9", "L5", "L2", "L1", "L3"])
+    )
+    r1, r0, r2, r3 = (Node(net.sim, name) for name in ["R1", "R0", "R2", "R3"])
+    for router, links in [
+        (r1, [l9, l5]),
+        (r0, [l9, l5, l2, l1, l3]),
+        (r2, [l5]),
+        (r3, [l2, l1, l3]),
+    ]:
+        for link in links:
+            router.attach_to(link, link.prefix.address_for_host(len(link.interfaces) + 1))
+    routers, links = [r1, r0, r2, r3], [l9, l5, l2, l1, l3]
+    expected = _reference_fibs(routers, links)
+    compute_router_fibs(routers, links)
+    dst = l9.prefix.address_for_host(200)
+    assert r2.routing.lookup(dst).next_hop == r0.address_on(l5)
+    assert r3.routing.lookup(dst).iface.link is l1
+    assert r3.routing.lookup(dst).next_hop == r0.address_on(l1)
+    for router in routers:
+        assert _rows(router.routing.entries()) == _rows(expected[router.name].entries())
+
+
+@st.composite
+def _random_networks(draw):
+    """Small router/link graphs: mixed prefix lengths, repeated prefixes,
+    unreachable links, address-less interfaces, a router attached twice
+    to one link, and registration order unlike name order."""
+    n_routers = draw(st.integers(1, 6))
+    n_links = draw(st.integers(1, 6))
+    prefixes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.sampled_from([48, 56, 64])),
+            min_size=n_links,
+            max_size=n_links,
+        )
+    )
+    attachments = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_routers - 1),
+                st.integers(0, n_links - 1),
+                st.integers(0, 9),
+            ),
+            max_size=16,
+        )
+    )
+    router_names = draw(st.permutations([f"R{i}" for i in range(n_routers)]))
+    link_names = draw(st.permutations([f"L{j}" for j in range(n_links)]))
+
+    net = Network(seed=0)
+    links = [
+        net.add_link(name, f"2001:db8:{idx:x}::/{plen}")
+        for name, (idx, plen) in zip(link_names, prefixes)
+    ]
+    routers = [Node(net.sim, name) for name in router_names]
+    for k, (i, j, roll) in enumerate(attachments):
+        link = links[j]
+        # one attachment in ten has no address
+        address = link.prefix.address_for_host(k + 1) if roll else None
+        routers[i].attach_to(link, address)
+    return routers, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_networks())
+def test_random_networks_match_reference_builder(case):
+    routers, links = case
+    try:
+        expected = _reference_fibs(routers, links)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            compute_router_fibs(routers, links)
+        return
+    compute_router_fibs(routers, links)
+    for router in routers:
+        table, reference = router.routing, expected[router.name]
+        for link in links:
+            dst = link.prefix.address_for_host(200)
+            assert _rows(filter(None, [table.lookup(dst)])) == _rows(
+                filter(None, [reference.lookup(dst)])
+            )
+        assert _rows(table.entries()) == _rows(reference.entries()), router.name
+        assert len(table) == len(reference)
+
+
+# ----------------------------------------------------------------------
+# tables built in bulk behave like tables built by install()
+# ----------------------------------------------------------------------
+class TestBulkBuiltTable:
+    @pytest.fixture
+    def built(self):
+        net = build_network(topo_graph({"model": "hier", "depth": 2, "fanout": 3})).net
+        routers, links = net.routers(), list(net.links.values())
+        expected = _reference_fibs(routers, links)
+        net.build_routes()
+        return net, routers, links, expected
+
+    def test_lookups_in_one_prefix_return_one_object(self, built):
+        _, routers, links, expected = built
+        for router in routers:
+            for link in links:
+                first = router.routing.lookup(link.prefix.address_for_host(7))
+                assert router.routing.lookup(link.prefix.address_for_host(9)) is first
+                assert first == expected[router.name].lookup(
+                    link.prefix.address_for_host(7)
+                )
+
+    def test_install_replaces_a_built_route(self, built):
+        _, routers, links, expected = built
+        table, reference = routers[-1].routing, expected[routers[-1].name]
+        mine = RouteEntry(links[3].prefix, FakeIface(), None, 42)
+        table.install(mine)
+        reference.install(mine)
+        assert table.lookup(links[3].prefix.address_for_host(1)) is mine
+        assert len(table) == len(reference) == len(links)
+        assert table.entries() == reference.entries()
+
+    def test_remove_clear_and_len_match_an_installed_table(self, built):
+        _, routers, links, expected = built
+        table, reference = routers[-1].routing, expected[routers[-1].name]
+        table.lookup(links[0].prefix.address_for_host(1))
+        for link in links[::2]:
+            table.remove(link.prefix)
+            reference.remove(link.prefix)
+        table.remove(Prefix("2001:db8:ffff::/64"))  # absent: ignored
+        assert len(table) == len(reference) == len(links) // 2
+        for link in links:
+            dst = link.prefix.address_for_host(1)
+            assert table.lookup(dst) == reference.lookup(dst)
+        assert table.entries() == reference.entries()
+        for link in links[1::2]:
+            table.remove(link.prefix)
+        assert len(table) == 0 and table.entries() == []
+        table.clear()
+        assert len(table) == 0 and table.entries() == []
+        assert table.lookup(links[1].prefix.address_for_host(1)) is None
+        routers[0].routing.clear()
+        assert len(routers[0].routing) == 0
+        assert routers[0].routing.lookup(links[1].prefix.address_for_host(1)) is None
+
+    def test_entries_after_lookups_keep_order_and_objects(self, built):
+        net, routers, links, expected = built
+        router = routers[-1]
+        before = _rows(router.routing.entries())
+        net.build_routes()
+        looked_up = [
+            router.routing.lookup(link.prefix.address_for_host(1))
+            for link in links[1::2]
+        ]
+        after = router.routing.entries()
+        assert _rows(after) == before == _rows(expected[router.name].entries())
+        for entry in looked_up:
+            assert any(entry is e for e in after)
+
+    def test_rebuild_over_fewer_routers_keeps_unreached_routes(self, built):
+        """A second build without clear() overwrites what it reaches and
+        keeps the rest, exactly like installing entry by entry."""
+        _, routers, links, expected = built
+        part = routers[::2]
+        _reference_fibs(part, links, tables=expected)
+        compute_router_fibs(part, links)
+        for router in routers:
+            assert _rows(router.routing.entries()) == _rows(
+                expected[router.name].entries()
+            ), router.name
+            for link in links:
+                dst = link.prefix.address_for_host(1)
+                assert router.routing.lookup(dst) == expected[router.name].lookup(dst)
+
+
+    def test_rebuild_over_fewer_links_keeps_the_other_routes(self, built):
+        """A second build over one router and its own links rewrites
+        those routes; its routes to every other link stay readable."""
+        _, routers, links, expected = built
+        router = routers[-1]
+        own = [iface.link for iface in router.interfaces]
+        _reference_fibs([router], own, tables=expected)
+        compute_router_fibs([router], own)
+        assert _rows(router.routing.entries()) == _rows(
+            expected[router.name].entries()
+        )
+        for link in links:
+            dst = link.prefix.address_for_host(1)
+            assert router.routing.lookup(dst) == expected[router.name].lookup(dst)
+
+
+def test_bulk_build_makes_no_object_per_route():
+    """Routes share (iface, next_hop, metric) records until first read:
+    building 159,600 routes adds fewer than one tracked object per ten."""
+    net = build_network(topo_graph({"model": "hier", "depth": 3, "fanout": 7})).net
+    gc.collect()
+    before = len(gc.get_objects())
+    net.build_routes()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    routes = sum(len(router.routing) for router in net.routers())
+    assert routes == 159_600
+    assert added < routes // 10, added
