@@ -6,7 +6,7 @@ hierarchy — 1,110 routers, 10,000 mobile receivers, 5% per-interval
 mobility — and gates it against committed budgets:
 
 * peak per-(S,G)/membership/binding state entries (deterministic —
-  the compact backend must keep the footprint bounded),
+  the (S,G) state tables must keep the footprint bounded),
 * simulated events dispatched (deterministic — guards against
   control-message blowups in the protocol stack),
 * events/sec throughput (wall-clock dependent; the floor is set far
@@ -14,8 +14,8 @@ mobility — and gates it against committed budgets:
   cannot trip it, while a 3x kernel regression still does).
 
 Calibration (reference machine): 720,743 events in ~47 s (~15,400
-events/s), 14,731 state entries, aggregation gain 1.062 over the dict
-backend, 457 handovers.
+events/s), 14,731 state entries, modelled aggregation gain 1.062 (dict
+layout over compact), 457 handovers.
 """
 
 from time import perf_counter

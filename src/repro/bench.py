@@ -212,7 +212,7 @@ def _phase_campaign() -> Dict[str, Any]:
 def _phase_topogen() -> Dict[str, Any]:
     """One EXP-S1 scale cell on a generated 155-router hierarchy.
 
-    Exercises the topology generator, the compact (S,G) state backend
+    Exercises the topology generator, the (S,G) state tables
     and the mobility scheduler together — the macro-path behind the
     ``repro sweep scale`` study (see docs/TOPOLOGIES.md).
     """

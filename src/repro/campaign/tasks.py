@@ -250,7 +250,6 @@ def scale_cell_task(
     receivers: int = 100,
     groups: int = 1,
     mobility: float = 0.0,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     duration: float = 30.0,
@@ -267,7 +266,6 @@ def scale_cell_task(
         receivers=receivers,
         groups=groups,
         mobility=mobility,
-        backend=backend,
         seed=seed,
         warmup=warmup,
         duration=duration,
@@ -291,7 +289,6 @@ def fluid_cell_task(
     traffic_model: str = "fluid",
     groups: int = 1,
     mobility: float = 0.0,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     duration: float = 30.0,
@@ -309,7 +306,6 @@ def fluid_cell_task(
         traffic_model=traffic_model,
         groups=groups,
         mobility=mobility,
-        backend=backend,
         seed=seed,
         warmup=warmup,
         duration=duration,
@@ -389,7 +385,6 @@ def chaos_cell_task(
     archetype: str = "flaps",
     intensity: float = 0.5,
     receivers: int = 12,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     chaos_duration: float = 10.0,
@@ -406,7 +401,6 @@ def chaos_cell_task(
         archetype=archetype,
         intensity=intensity,
         receivers=receivers,
-        backend=backend,
         seed=seed,
         warmup=warmup,
         chaos_duration=chaos_duration,

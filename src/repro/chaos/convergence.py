@@ -12,9 +12,8 @@ elected per link by the assert rules (lower metric to source, ties to
 the numerically higher address) — and diffs it against the **live**
 tree implied by every router's (S,G) state (an RPF-checked flood from
 the source link through each router's ``outgoing_ifaces``).  The diff
-works identically for the ``compact`` and ``dict`` state backends
-because every check goes through the duck-typed
-:mod:`repro.pimdm.state` surface.
+reads live state only through the :mod:`repro.pimdm.state` surface
+(``get_entry``, ``downstream.get``) and never creates state itself.
 
 Divergence rules
 ================

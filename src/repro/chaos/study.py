@@ -58,12 +58,10 @@ DEFAULT_TOPOS: List[Dict[str, Any]] = [
 DEFAULT_INTENSITIES = (0.3, 0.7)
 
 
-def chaos_pim_config(backend: str = "compact") -> PimDmConfig:
+def chaos_pim_config() -> PimDmConfig:
     """PIM-DM timers for the chaos profile: 5 s hellos bound the
     neighbor-relearn time after a crash/restart to one hello period."""
-    return PimDmConfig(
-        state_backend=backend, hello_period=5.0, hello_holdtime=17.5
-    )
+    return PimDmConfig(hello_period=5.0, hello_holdtime=17.5)
 
 
 def chaos_mld_config() -> MldConfig:
@@ -88,7 +86,6 @@ def chaos_cell(
     archetype: str = "flaps",
     intensity: float = 0.5,
     receivers: int = 12,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     chaos_duration: float = 10.0,
@@ -117,7 +114,7 @@ def chaos_cell(
     built = build_network(
         graph,
         seed=seed,
-        pim_config=chaos_pim_config(backend),
+        pim_config=chaos_pim_config(),
         mld_config=chaos_mld_config(),
         mipv6_config=chaos_mipv6_config(),
     )
@@ -134,9 +131,9 @@ def chaos_cell(
         archetype,
         intensity=intensity,
         seed=seed,
-        # The schedule is part of the *physical* scenario: state
-        # backend and traffic engine must see the same storm so their
-        # results stay comparable.
+        # The schedule is part of the *physical* scenario: both
+        # traffic engines must see the same storm so their results
+        # stay comparable.
         cell=f"{spec.get('model')}.{archetype}.{intensity}",
         start=warmup,
         duration=chaos_duration,
@@ -193,7 +190,8 @@ def chaos_cell(
         "routers": len(graph.routers),
         "links": len(graph.links),
         "receivers": receivers,
-        "backend": backend,
+        # the layout that ran; keeps committed EXP-R3 rows byte-identical
+        "backend": "compact",
         "traffic_model": traffic_model,
         "seed": seed,
         "graph_digest": graph.digest(),
@@ -226,7 +224,6 @@ def chaos_grid(
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     traffic_models: Sequence[str] = ("packet",),
     receivers: int = 12,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     chaos_duration: float = 10.0,
@@ -239,7 +236,6 @@ def chaos_grid(
     traffic models."""
     base: Dict[str, Any] = {
         "receivers": receivers,
-        "backend": backend,
         "seed": seed,
         "warmup": warmup,
         "chaos_duration": chaos_duration,
@@ -269,7 +265,6 @@ def run_chaos_sweep(
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     traffic_models: Sequence[str] = ("packet",),
     receivers: int = 12,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     chaos_duration: float = 10.0,
@@ -289,7 +284,6 @@ def run_chaos_sweep(
         intensities=intensities,
         traffic_models=traffic_models,
         receivers=receivers,
-        backend=backend,
         seed=seed,
         warmup=warmup,
         chaos_duration=chaos_duration,

@@ -261,6 +261,8 @@ def _compare(args: argparse.Namespace) -> None:
 
 
 def _timers(args: argparse.Namespace) -> None:
+    if args.repeats < 1:
+        raise SystemExit(f"error: --repeats must be >= 1, got {args.repeats}")
     points = run_timer_sweep(
         query_intervals=tuple(args.intervals),
         seeds=tuple(range(args.repeats)),

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, fmt_float, render_table
-from ..pimdm import PimDmConfig
 
 __all__ = [
     "fluid_cell",
@@ -53,7 +52,6 @@ def fluid_cell(
     traffic_model: str = "fluid",
     groups: int = 1,
     mobility: float = 0.0,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     duration: float = 30.0,
@@ -76,9 +74,7 @@ def fluid_cell(
 
     spec = {"model": model, **(model_params or {})}
     graph = topo_graph(spec)
-    built = build_network(
-        graph, seed=seed, pim_config=PimDmConfig(state_backend=backend)
-    )
+    built = build_network(graph, seed=seed)
     net = built.net
     group_addrs = [built.make_group(g + 1) for g in range(groups)]
     leaf = graph.leaf_links

@@ -4,14 +4,15 @@ Ground truth is Helmy's *State Analysis and Aggregation Study for
 Multicast-based Micro Mobility* (PAPERS.md): per-group multicast state
 grows with tree size and group count, and aggregating it wins more the
 more state there is to aggregate.  Our analogue of the aggregation
-axis is the per-(S,G) representation backend
-(:mod:`repro.pimdm.state`): the modelled byte cost of the ``dict``
-seed representation over the ``compact`` interned/bitset one is the
-**aggregation gain**, and EXP-S1 pins its qualitative shape — the gain
-rises with group count (and tree size), because every added group
-replicates (S,G) + downstream rows across the tree while
-unaggregatable state (neighbor tables, binding caches) stays put.
-That is exactly Helmy's trend.
+axis is the per-(S,G) state layout, priced by the analytic model
+``STATE_BYTE_COSTS`` in :mod:`repro.net.stats`: the modelled byte cost
+of the seed ``dict`` layout over the ``compact`` one is the
+**aggregation gain**.  The simulator itself runs one layout
+(:mod:`repro.pimdm.state`); the gain needs only its entry counts.
+EXP-S1 pins the gain's qualitative shape — it rises with group count
+(and tree size), because every added group replicates (S,G) +
+downstream rows across the tree while unaggregatable state (neighbor
+tables, binding caches) stays put.  That is exactly Helmy's trend.
 
 One campaign cell (:func:`scale_cell`, task ``scale.cell``) generates
 a seeded topology (shared read-only across cells via the
@@ -19,7 +20,7 @@ a seeded topology (shared read-only across cells via the
 receiver population on its leaf links, runs flood/prune/join plus
 seeded handovers, and reports deterministic metrics only — events,
 state-entry counts (the peak RSS proxy), modelled state bytes under
-both backends, and control-message load — so results are byte-stable
+both layouts, and control-message load — so results are byte-stable
 under ``jobs=1`` and ``jobs=N`` and cacheable.
 """
 
@@ -29,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, fmt_float, render_table
 from ..campaign import CampaignGrid, CampaignRunner
-from ..pimdm import PimDmConfig
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -55,7 +55,6 @@ def scale_cell(
     receivers: int = 100,
     groups: int = 1,
     mobility: float = 0.0,
-    backend: str = "compact",
     seed: int = 0,
     warmup: float = 10.0,
     duration: float = 30.0,
@@ -79,9 +78,7 @@ def scale_cell(
 
     spec = {"model": model, **(model_params or {})}
     graph = topo_graph(spec)
-    built = build_network(
-        graph, seed=seed, pim_config=PimDmConfig(state_backend=backend)
-    )
+    built = build_network(graph, seed=seed)
     net = built.net
     monitor = None
     if check_invariants or (check_invariants is None and checking_enabled()):
@@ -137,7 +134,8 @@ def scale_cell(
         "groups": groups,
         "mobility": mobility,
         "moves": moves,
-        "backend": backend,
+        # the layout that ran; keeps committed EXP-S1 rows byte-identical
+        "backend": "compact",
         "seed": seed,
         "graph_digest": graph.digest(),
         "events": net.sim.events_dispatched,

@@ -63,24 +63,27 @@ STATE_KINDS = (
     "mipv6_binding",
 )
 
-#: Analytic bytes-per-entry model for the memory-proxy gauges, per
-#: state backend (``repro.pimdm.state``).  Deterministic documented
-#: constants — not ``sys.getsizeof`` — so campaign results compare
-#: across machines and Python builds.  The model (CPython 64-bit):
+#: Analytic bytes-per-entry model for the memory-proxy gauges: one row
+#: per *modelled* (S,G) state layout, the seed one and the compact one.
+#: Deterministic documented constants — not ``sys.getsizeof`` — so
+#: campaign results compare across machines and Python builds.  The
+#: model (CPython 64-bit):
 #:
-#: * ``dict`` (S,G) entry: dataclass instance with ``__dict__``
-#:   (~360 B), a key tuple of two 128-bit address ints (~160 B), and
-#:   an entries-dict slot (~100 B) → 620 B; each downstream state is a
-#:   ``__dict__`` dataclass (~320 B) plus its per-entry dict slot
-#:   (~100 B) → 420 B.
-#: * ``compact`` (S,G) entry: same dataclass body but a small-int
-#:   interned key (~28 B amortised) and a dense-dict slot → 450 B;
-#:   each downstream state is slotted (~110 B), indexed by a list slot
-#:   (8 B), with pruned/assert-loser flags pooled into two per-entry
-#:   bitmask ints (amortised ~2 B) → 120 B.
+#: * ``dict`` — the seed layout: an (S,G) entry is a dataclass instance
+#:   with ``__dict__`` (~360 B), a key tuple of two 128-bit address ints
+#:   (~160 B), and an entries-dict slot (~100 B) → 620 B; each
+#:   downstream state is a ``__dict__`` dataclass (~320 B) plus its
+#:   per-entry dict slot (~100 B) → 420 B.
+#: * ``compact`` — same entry body but a small-int interned key
+#:   (~28 B amortised) and a dense-dict slot → 450 B; each downstream
+#:   state is slotted (~110 B), indexed by a list slot (8 B), with
+#:   pruned/assert-loser flags pooled into two per-entry bitmask ints
+#:   (amortised ~2 B) → 120 B.
 #:
-#: Neighbor, MLD-membership, and binding-cache entries are identical
-#: under both backends; they dilute the aggregation gain exactly as
+#: The simulator runs one layout (``repro.pimdm.state``); the two rows
+#: are a model, and their ratio is EXP-S1's aggregation gain.
+#: Neighbor, MLD-membership, and binding-cache entries cost the same in
+#: both rows; they dilute the aggregation gain exactly as
 #: unaggregatable state does in Helmy's study.
 STATE_BYTE_COSTS: Dict[str, Dict[str, int]] = {
     "dict": {
@@ -100,9 +103,9 @@ STATE_BYTE_COSTS: Dict[str, Dict[str, int]] = {
 }
 
 
-def estimate_state_bytes(counts: Dict[str, int], backend: str) -> int:
-    """Total modelled bytes for ``counts`` under ``backend``'s costs."""
-    costs = STATE_BYTE_COSTS[backend]
+def estimate_state_bytes(counts: Dict[str, int], layout: str) -> int:
+    """Total modelled bytes for ``counts`` under ``layout``'s costs."""
+    costs = STATE_BYTE_COSTS[layout]
     return sum(costs.get(kind, 0) * value for kind, value in counts.items())
 
 
@@ -208,14 +211,14 @@ class NetworkStats:
     def state_snapshot(self) -> Dict[str, object]:
         """JSON-able view of the aggregate state accounting: per-kind
         entry counts, the total, and the modelled byte cost under both
-        representations (their ratio is the aggregation gain)."""
+        modelled layouts (their ratio is the aggregation gain)."""
         entries = {kind: self.state_entries.get(kind, 0) for kind in STATE_KINDS}
         return {
             "entries": entries,
             "total_entries": sum(entries.values()),
             "bytes": {
-                backend: estimate_state_bytes(entries, backend)
-                for backend in sorted(STATE_BYTE_COSTS)
+                layout: estimate_state_bytes(entries, layout)
+                for layout in sorted(STATE_BYTE_COSTS)
             },
         }
 
@@ -334,14 +337,14 @@ class NetworkStats:
             )
             state_bytes_gauge = registry.gauge(
                 "repro_state_bytes",
-                "Modelled aggregate state bytes per representation backend",
+                "Modelled aggregate state bytes per modelled (S,G) layout",
                 ("backend",),
             )
             snapshot = self.state_snapshot()
             for kind, value in snapshot["entries"].items():
                 entries_gauge.labels(kind=kind).set(value)
-            for backend, value in snapshot["bytes"].items():
-                state_bytes_gauge.labels(backend=backend).set(value)
+            for layout, value in snapshot["bytes"].items():
+                state_bytes_gauge.labels(backend=layout).set(value)
 
     def render(self) -> str:
         """Human-readable table of per-link byte counters."""

@@ -12,22 +12,11 @@ from .messages import (
     PimStateRefresh,
 )
 from .router import MulticastRouter, PimDmEngine
-from .state import (
-    STATE_BACKENDS,
-    DownstreamState,
-    OifSet,
-    SgEntry,
-    SgInterner,
-    StateStore,
-    sg_key,
-)
+from .state import DownstreamState, OifSet, SgEntry, sg_key
 
 __all__ = [
     "DownstreamState",
     "OifSet",
-    "STATE_BACKENDS",
-    "SgInterner",
-    "StateStore",
     "MulticastRouter",
     "PimAssert",
     "PimDmConfig",

@@ -6,6 +6,9 @@ Defaults are the values the paper quotes:
   kept (paper §3.1; the stale-tree cost of a moving sender, §4.2.2-A),
 * Prune Delay Time T_PruneDel = 3 s — the join-override window on
   multi-access links (paper §3.1, §4.3.1 bandwidth discussion).
+
+Only timers and the State Refresh switch are tunable; the (S,G) state
+layout is fixed (:mod:`repro.pimdm.state`).
 """
 
 from __future__ import annotations
@@ -57,12 +60,6 @@ class PimDmConfig:
     state_refresh_enabled: bool = False
     #: Interval between State Refresh originations (s).
     state_refresh_interval: float = 60.0
-    #: (S,G) state representation: ``"compact"`` (interned keys,
-    #: array-backed downstream tables, bitset oif flags) or ``"dict"``
-    #: (the seed representation).  Behaviourally identical — the
-    #: differential golden tests pin byte-identical traces — but the
-    #: compact form is what makes thousand-router topologies fit.
-    state_backend: str = "compact"
 
     def __post_init__(self) -> None:
         if self.data_timeout <= 0:
@@ -81,7 +78,3 @@ class PimDmConfig:
             )
         if self.state_refresh_interval <= 0:
             raise ValueError("state_refresh_interval must be positive")
-        if self.state_backend not in ("dict", "compact"):
-            raise ValueError(
-                f"state_backend must be 'dict' or 'compact', got {self.state_backend!r}"
-            )

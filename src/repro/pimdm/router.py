@@ -52,7 +52,7 @@ from .messages import (
     PimPrune,
     PimStateRefresh,
 )
-from .state import DownstreamState, SgEntry, StateStore, sg_key
+from .state import DownstreamState, SgEntry, sg_key
 
 __all__ = ["PimDmEngine", "MulticastRouter"]
 
@@ -71,9 +71,8 @@ class PimDmEngine:
         self.node = node
         self.config = config or PimDmConfig()
         self.mld = mld
-        #: backend-selected keying/representation (dict vs compact)
-        self.store = StateStore(self.config.state_backend)
-        self.entries: Dict[object, SgEntry] = {}
+        #: (S,G) entries keyed by :func:`sg_key`
+        self.entries: Dict[tuple, SgEntry] = {}
         #: per-iface neighbor table: iface uid -> {address: holdtime timer}
         self.neighbors: Dict[int, Dict[Address, Timer]] = {}
         #: groups this node itself subscribed to (home-agent on-behalf joins)
@@ -134,7 +133,6 @@ class PimDmEngine:
         self._join_override_events.clear()
         self._last_assert_sent.clear()
         self.node_groups.clear()
-        self.store.reset()
 
     # ------------------------------------------------------------------
     # neighbor discovery
@@ -222,7 +220,7 @@ class PimDmEngine:
     # entry management
     # ------------------------------------------------------------------
     def get_entry(self, source: Address, group: Address) -> Optional[SgEntry]:
-        return self.entries.get(self.store.key(source, group))
+        return self.entries.get(sg_key(source, group))
 
     def _create_entry(self, source: Address, group: Address) -> Optional[SgEntry]:
         rpf_iface, next_hop, metric = self._rpf(source)
@@ -231,9 +229,9 @@ class PimDmEngine:
                 "pim", event="no-rpf", source=str(source), group=str(group)
             )
             return None
-        entry = self.store.new_entry(
-            source=source,
-            group=group,
+        entry = SgEntry(
+            source=Address(source),
+            group=Address(group),
             upstream_iface=rpf_iface,
             upstream_neighbor=next_hop,
             metric_to_source=metric,
@@ -283,7 +281,7 @@ class PimDmEngine:
     # ------------------------------------------------------------------
     def on_multicast_data(self, packet: Ipv6Packet, iface: Interface) -> None:
         source, group = packet.src, packet.dst
-        entry = self.entries.get(self.store.key(source, group))
+        entry = self.entries.get(sg_key(source, group))
         if entry is None:
             entry = self._create_entry(source, group)
             if entry is None:
@@ -365,7 +363,7 @@ class PimDmEngine:
         )
 
     def _on_prune(self, packet: Ipv6Packet, prune: PimPrune, iface: Interface) -> None:
-        entry = self.entries.get(self.store.key(prune.source, prune.group))
+        entry = self.entries.get(sg_key(prune.source, prune.group))
         if entry is None:
             return
         my_addr = self.node.address_on(iface.link) if iface.link else None
@@ -464,7 +462,7 @@ class PimDmEngine:
         )
 
     def _on_join(self, packet: Ipv6Packet, join: PimJoin, iface: Interface) -> None:
-        entry = self.entries.get(self.store.key(join.source, join.group))
+        entry = self.entries.get(sg_key(join.source, join.group))
         if entry is None:
             return
         my_addr = self.node.address_on(iface.link) if iface.link else None
@@ -532,7 +530,7 @@ class PimDmEngine:
         entry.graft_retry_timer.start(retry_delay)
 
     def _on_graft(self, packet: Ipv6Packet, graft: PimGraft, iface: Interface) -> None:
-        entry = self.entries.get(self.store.key(graft.source, graft.group))
+        entry = self.entries.get(sg_key(graft.source, graft.group))
         if entry is None:
             entry = self._create_entry(graft.source, graft.group)
             if entry is None:
@@ -559,7 +557,7 @@ class PimDmEngine:
     def _on_graft_ack(
         self, packet: Ipv6Packet, ack: PimGraftAck, iface: Interface
     ) -> None:
-        entry = self.entries.get(self.store.key(ack.source, ack.group))
+        entry = self.entries.get(sg_key(ack.source, ack.group))
         if entry is None:
             return
         entry.pruned_upstream = False
@@ -613,7 +611,7 @@ class PimDmEngine:
         return c_addr > i_addr
 
     def _on_assert(self, packet: Ipv6Packet, a: PimAssert, iface: Interface) -> None:
-        entry = self.entries.get(self.store.key(a.source, a.group))
+        entry = self.entries.get(sg_key(a.source, a.group))
         if entry is None:
             return
         theirs = (a.metric, packet.src)
@@ -732,7 +730,7 @@ class PimDmEngine:
     def _on_state_refresh(
         self, packet: Ipv6Packet, sr: PimStateRefresh, iface: Interface
     ) -> None:
-        entry = self.entries.get(self.store.key(sr.source, sr.group))
+        entry = self.entries.get(sg_key(sr.source, sr.group))
         if entry is None:
             entry = self._create_entry(sr.source, sr.group)
             if entry is None:
@@ -825,7 +823,7 @@ class PimDmEngine:
 
     def forwarding_links(self, source: Address, group: Address) -> List[str]:
         """Names of links this router currently forwards (S,G) onto."""
-        entry = self.entries.get(self.store.key(source, group))
+        entry = self.entries.get(sg_key(source, group))
         if entry is None:
             return []
         return sorted(

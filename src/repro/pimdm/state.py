@@ -14,58 +14,38 @@ seen traffic (or control messages) for — the "(S, G) entry" of paper
   lingers (paper §4.2.2-A),
 * upstream bookkeeping: whether we pruned upstream, graft-ack pending.
 
-Two interchangeable state *representations* back the same API
-(``PimDmConfig.state_backend``):
-
-* ``"dict"`` — the seed representation: entries keyed by the
-  128-bit-address pair :func:`sg_key`, per-interface state in a
-  ``dict`` of :class:`DownstreamState` dataclasses with plain boolean
-  flags.
-* ``"compact"`` (default) — entries keyed by a small interned integer
-  (:class:`SgInterner`), per-interface state in an array indexed by
-  the per-node interface uid, pruned / assert-loser flags pooled into
-  two :class:`OifSet` bitmasks per entry, and slotted state objects.
-
-Both must produce byte-identical traces — the differential golden
-tests pin that — so behaviour (creation order, timer logic, iteration
-where it matters) is shared; only the storage shape differs.  The
-analytic per-object byte model used by the scaling study lives in
-:mod:`repro.net.stats` (``STATE_BYTE_COSTS``).
+The engine keys its entries by :func:`sg_key`, the pair of 128-bit
+address ints, so a key lives exactly as long as its entry.  Each
+entry's per-interface state is a :class:`DownstreamTable`: a list
+indexed by the per-node interface uid, with the pruned / assert-loser
+flags pooled into two :class:`OifSet` bitmasks and slotted
+:class:`DownstreamState` objects holding only timers and assert
+bookkeeping.  The analytic per-object byte model used by the scaling
+study lives in :mod:`repro.net.stats` (``STATE_BYTE_COSTS``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..net.addressing import Address
 from ..net.interface import Interface
 from ..sim import Timer
 
 __all__ = [
-    "CompactDownstreamState",
-    "CompactDownstreamTable",
-    "DictDownstreamTable",
     "DownstreamState",
+    "DownstreamTable",
     "OifSet",
-    "STATE_BACKENDS",
     "SgEntry",
-    "SgInterner",
-    "StateStore",
     "sg_key",
 ]
-
-#: Selectable values for ``PimDmConfig.state_backend``.
-STATE_BACKENDS = ("dict", "compact")
 
 
 def sg_key(source: Address, group: Address) -> tuple:
     return (Address(source).as_int(), Address(group).as_int())
 
 
-# ----------------------------------------------------------------------
-# compact building blocks
-# ----------------------------------------------------------------------
 class OifSet:
     """A set of small interface uids stored as one int bitmask.
 
@@ -122,98 +102,16 @@ class OifSet:
         return f"OifSet({sorted(self)})"
 
 
-class SgInterner:
-    """Bidirectional Address ↔ small-int table shared by one engine.
-
-    Sources and groups are interned on first sight (ids are dense and
-    deterministic given the event order), and an (S,G) pair maps to one
-    small integer used as the ``entries`` dict key — replacing the
-    seed's tuple of two 128-bit address ints.
-    """
-
-    __slots__ = ("_address_ids", "_addresses", "_sg_ids")
-
-    def __init__(self) -> None:
-        self._address_ids: Dict[int, int] = {}
-        self._addresses: List[Address] = []
-        self._sg_ids: Dict[Tuple[int, int], int] = {}
-
-    def intern_address(self, address: Address) -> int:
-        address = Address(address)
-        raw = address.as_int()
-        ident = self._address_ids.get(raw)
-        if ident is None:
-            ident = len(self._addresses)
-            self._address_ids[raw] = ident
-            self._addresses.append(address)
-        return ident
-
-    def address(self, ident: int) -> Address:
-        return self._addresses[ident]
-
-    def intern_sg(self, source: Address, group: Address) -> int:
-        pair = (self.intern_address(source), self.intern_address(group))
-        ident = self._sg_ids.get(pair)
-        if ident is None:
-            ident = len(self._sg_ids)
-            self._sg_ids[pair] = ident
-        return ident
-
-    def __len__(self) -> int:
-        return len(self._addresses)
-
-
 # ----------------------------------------------------------------------
 # downstream per-interface state
 # ----------------------------------------------------------------------
-@dataclass
 class DownstreamState:
-    """Per-(S,G)-per-downstream-interface state (dict backend)."""
+    """Per-(S,G)-per-downstream-interface state.
 
-    iface: Interface
-    #: Prune received, waiting T_PruneDel for a possible Join override.
-    prune_pending_timer: Optional[Timer] = None
-    #: Interface pruned; forwarding resumes when the hold timer fires.
-    pruned: bool = False
-    prune_hold_timer: Optional[Timer] = None
-    #: This router lost an assert election on the interface.
-    assert_loser: bool = False
-    assert_timer: Optional[Timer] = None
-    assert_winner: Optional[Address] = None
-    assert_winner_metric: Optional[int] = None
-
-    @property
-    def prune_pending(self) -> bool:
-        return (
-            self.prune_pending_timer is not None and self.prune_pending_timer.running
-        )
-
-    def clear_prune(self) -> None:
-        if self.prune_pending_timer is not None:
-            self.prune_pending_timer.stop()
-            self.prune_pending_timer = None
-        if self.prune_hold_timer is not None:
-            self.prune_hold_timer.stop()
-            self.prune_hold_timer = None
-        self.pruned = False
-
-    def clear_assert(self) -> None:
-        if self.assert_timer is not None:
-            self.assert_timer.stop()
-            self.assert_timer = None
-        self.assert_loser = False
-        self.assert_winner = None
-        self.assert_winner_metric = None
-
-
-class CompactDownstreamState:
-    """Downstream state with flags pooled into the table's bitmasks.
-
-    Same duck-typed surface as :class:`DownstreamState` (the engine
-    never branches on the backend); ``pruned`` / ``assert_loser`` read
-    and write the owning :class:`CompactDownstreamTable`'s
-    :class:`OifSet` masks instead of per-object booleans, and the
-    object itself is slotted.
+    ``pruned`` / ``assert_loser`` read and write the owning
+    :class:`DownstreamTable`'s :class:`OifSet` masks; the object itself
+    holds only timers and assert bookkeeping.  Create states through
+    :meth:`DownstreamTable.state_for`.
     """
 
     __slots__ = (
@@ -226,9 +124,11 @@ class CompactDownstreamState:
         "_table",
     )
 
-    def __init__(self, iface: Interface, table: "CompactDownstreamTable") -> None:
+    def __init__(self, iface: Interface, table: "DownstreamTable") -> None:
         self.iface = iface
+        #: Prune received, waiting T_PruneDel for a possible Join override.
         self.prune_pending_timer: Optional[Timer] = None
+        #: Forwarding resumes on a pruned interface when this fires.
         self.prune_hold_timer: Optional[Timer] = None
         self.assert_timer: Optional[Timer] = None
         self.assert_winner: Optional[Address] = None
@@ -248,6 +148,7 @@ class CompactDownstreamState:
 
     @property
     def assert_loser(self) -> bool:
+        """This router lost an assert election on the interface."""
         return self.iface.uid in self._table.assert_loser_oifs
 
     @assert_loser.setter
@@ -282,29 +183,12 @@ class CompactDownstreamState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<CompactDownstreamState {self.iface.name}"
+            f"<DownstreamState {self.iface.name}"
             f" pruned={self.pruned} assert_loser={self.assert_loser}>"
         )
 
 
-class DictDownstreamTable(dict):
-    """Seed representation: a plain ``{iface uid: DownstreamState}``.
-
-    Subclasses ``dict`` so ``get`` / ``values`` / iteration keep the
-    exact seed semantics; only on-demand creation is added.
-    """
-
-    __slots__ = ()
-
-    def state_for(self, iface: Interface) -> DownstreamState:
-        state = self.get(iface.uid)
-        if state is None:
-            state = DownstreamState(iface=iface)
-            self[iface.uid] = state
-        return state
-
-
-class CompactDownstreamTable:
+class DownstreamTable:
     """Array-backed downstream table indexed by per-node iface uid.
 
     Lookups are list indexing (uids are dense small ints), and the
@@ -316,26 +200,26 @@ class CompactDownstreamTable:
     __slots__ = ("_states", "pruned_oifs", "assert_loser_oifs")
 
     def __init__(self) -> None:
-        self._states: List[Optional[CompactDownstreamState]] = []
+        self._states: List[Optional[DownstreamState]] = []
         self.pruned_oifs = OifSet()
         self.assert_loser_oifs = OifSet()
 
-    def get(self, uid: int) -> Optional[CompactDownstreamState]:
+    def get(self, uid: int) -> Optional[DownstreamState]:
         if 0 <= uid < len(self._states):
             return self._states[uid]
         return None
 
-    def state_for(self, iface: Interface) -> CompactDownstreamState:
+    def state_for(self, iface: Interface) -> DownstreamState:
         uid = iface.uid
         if uid >= len(self._states):
             self._states.extend([None] * (uid + 1 - len(self._states)))
         state = self._states[uid]
         if state is None:
-            state = CompactDownstreamState(iface, self)
+            state = DownstreamState(iface, self)
             self._states[uid] = state
         return state
 
-    def values(self) -> List[CompactDownstreamState]:
+    def values(self) -> List[DownstreamState]:
         return [s for s in self._states if s is not None]
 
     def __len__(self) -> int:
@@ -367,9 +251,7 @@ class SgEntry:
     upstream_assert_winner_metric: Optional[int] = None
     metric_to_source: int = 0
     entry_timer: Optional[Timer] = None
-    downstream: "DictDownstreamTable | CompactDownstreamTable" = field(
-        default_factory=DictDownstreamTable
-    )
+    downstream: DownstreamTable = field(default_factory=DownstreamTable)
     #: True after we sent a Prune upstream and before grafting back.
     pruned_upstream: bool = False
     last_prune_sent: float = float("-inf")
@@ -381,28 +263,14 @@ class SgEntry:
     #: Statistics for the experiments.
     packets_forwarded: int = 0
     packets_discarded: int = 0
-    #: The ``entries`` dict key: the interned small int under the
-    #: compact backend, None (→ computed :func:`sg_key`) under dict.
-    interned_key: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
-    def key(self):
-        if self.interned_key is not None:
-            return self.interned_key
+    def key(self) -> tuple:
         return sg_key(self.source, self.group)
 
-    def downstream_state(self, iface: Interface):
-        table = self.downstream
-        state_for = getattr(table, "state_for", None)
-        if state_for is not None:
-            return state_for(iface)
-        # plain-dict table passed by hand (legacy tests): seed inline path
-        state = table.get(iface.uid)
-        if state is None:
-            state = DownstreamState(iface=iface)
-            table[iface.uid] = state
-        return state
+    def downstream_state(self, iface: Interface) -> DownstreamState:
+        return self.downstream.state_for(iface)
 
     def upstream_target(self) -> Optional[Address]:
         """Whom to address Prunes/Grafts to (assert winner beats FIB)."""
@@ -424,65 +292,3 @@ class SgEntry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         up = self.upstream_iface.name if self.upstream_iface else "?"
         return f"<SgEntry ({self.source},{self.group}) up={up}>"
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-class StateStore:
-    """Keying + entry construction for one engine's chosen backend.
-
-    The engine asks the store for dict keys and fresh entries; every
-    other code path handles :class:`SgEntry` through its shared API, so
-    switching representations cannot change behaviour.
-    """
-
-    __slots__ = ("backend", "interner")
-
-    def __init__(self, backend: str = "compact") -> None:
-        if backend not in STATE_BACKENDS:
-            raise ValueError(
-                f"unknown state backend {backend!r}; expected one of {STATE_BACKENDS}"
-            )
-        self.backend = backend
-        self.interner: Optional[SgInterner] = (
-            SgInterner() if backend == "compact" else None
-        )
-
-    def key(self, source: Address, group: Address):
-        if self.interner is not None:
-            return self.interner.intern_sg(source, group)
-        return sg_key(source, group)
-
-    def new_entry(
-        self,
-        source: Address,
-        group: Address,
-        upstream_iface: Optional[Interface],
-        upstream_neighbor: Optional[Address],
-        metric_to_source: int,
-    ) -> SgEntry:
-        source = Address(source)
-        group = Address(group)
-        if self.interner is not None:
-            return SgEntry(
-                source=source,
-                group=group,
-                upstream_iface=upstream_iface,
-                upstream_neighbor=upstream_neighbor,
-                metric_to_source=metric_to_source,
-                downstream=CompactDownstreamTable(),
-                interned_key=self.interner.intern_sg(source, group),
-            )
-        return SgEntry(
-            source=source,
-            group=group,
-            upstream_iface=upstream_iface,
-            upstream_neighbor=upstream_neighbor,
-            metric_to_source=metric_to_source,
-        )
-
-    def reset(self) -> None:
-        """Crash support: discard interned ids with the rest of state."""
-        if self.interner is not None:
-            self.interner = SgInterner()

@@ -615,7 +615,7 @@ class FluidModel(TrafficModel):
         pim = getattr(router, "pim", None)
         if pim is None:
             return
-        entry = pim.entries.get(pim.store.key(source, group))
+        entry = pim.get_entry(source, group)
         if entry is None:
             # No (S,G) state: the next real probe creates it (and the
             # entry-created event triggers a recomputation), exactly

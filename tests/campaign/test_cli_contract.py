@@ -145,6 +145,8 @@ class TestBadArguments:
              "bad --sizes token '0x5' for model 'hier' "
              "(depth and fanout must be >= 1)"),
             (["sweep", "timers", "--repeats", "0"], "--repeats must be >= 1"),
+            (["timers", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+            (["timers", "--repeats", "-2"], "--repeats must be >= 1, got -2"),
             (["faults", "--loss", "1.5"], "--loss rates must be in [0, 1)"),
             (["faults", "--approaches", "bogus"], "unknown approach"),
             (["bench", "--scale", "0"], "--scale must be positive"),

@@ -27,13 +27,13 @@ HIER = {"model": "hier", "depth": 2, "fanout": 3}
 WAXMAN = {"model": "waxman", "n": 12, "seed": 5}
 
 
-def _converged_net(spec, backend="dict", receivers=6, until=30.0):
+def _converged_net(spec, receivers=6, until=30.0):
     """Fault-free run to steady state; returns (net, source addr, group)."""
     graph = topo_graph(spec)
     built = build_network(
         graph,
         seed=0,
-        pim_config=chaos_pim_config(backend),
+        pim_config=chaos_pim_config(),
         mld_config=chaos_mld_config(),
         mipv6_config=chaos_mipv6_config(),
     )
@@ -61,9 +61,8 @@ def _sg_entries(net, source, group):
 
 
 @pytest.mark.parametrize("spec", [HIER, WAXMAN], ids=["hier", "waxman"])
-@pytest.mark.parametrize("backend", ["compact", "dict"])
-def test_zero_fault_baseline_converges(spec, backend):
-    net, _, group = _converged_net(spec, backend=backend)
+def test_zero_fault_baseline_converges(spec):
+    net, _, group = _converged_net(spec)
     verdict = evaluate_convergence(net, "s000", group)
     assert verdict["converged"], verdict["divergences"]
     assert verdict["live_links"] == verdict["reference_links"]
@@ -154,7 +153,7 @@ def test_oracle_reports_convergence_time():
     built = build_network(
         graph,
         seed=0,
-        pim_config=chaos_pim_config("compact"),
+        pim_config=chaos_pim_config(),
         mld_config=chaos_mld_config(),
         mipv6_config=chaos_mipv6_config(),
     )

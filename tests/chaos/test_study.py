@@ -7,7 +7,6 @@ import pytest
 from repro.chaos import ARCHETYPES, chaos_cell, run_chaos_sweep
 
 SMALL_HIER = {"model": "hier", "depth": 2, "fanout": 3}
-SMALL_WAXMAN = {"model": "waxman", "n": 12, "seed": 5}
 
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
@@ -33,22 +32,6 @@ def test_cell_fluid_engine_converges():
     assert row["traffic_model"] == "fluid"
     assert row["delivery_ratio"] > 0.5
     assert "traffic" in row
-
-
-def test_cell_backends_agree_on_verdict():
-    compact = chaos_cell(
-        topo=SMALL_WAXMAN, archetype="partition", intensity=0.6,
-        receivers=6, seed=4, backend="compact",
-    )
-    plain = chaos_cell(
-        topo=SMALL_WAXMAN, archetype="partition", intensity=0.6,
-        receivers=6, seed=4, backend="dict",
-    )
-    assert compact["converged"] and plain["converged"]
-    # same schedule, same topology -> same trees, same delivery
-    assert compact["plan_events"] == plain["plan_events"]
-    assert compact["live_links"] == plain["live_links"]
-    assert compact["delivered_units"] == plain["delivered_units"]
 
 
 def test_cell_rejects_unknown_archetype():

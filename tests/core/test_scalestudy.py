@@ -85,19 +85,6 @@ class TestScaleCell:
         assert row["moves"] > 0
         assert row["control_packets"]["mipv6"] > 0
 
-    def test_dict_backend_gain_is_unity(self):
-        row = scale_cell(
-            model_params={"depth": 1, "fanout": 2},
-            receivers=4,
-            backend="dict",
-            warmup=4.0,
-            duration=6.0,
-        )
-        # gain is always dict-bytes / compact-bytes of the *model*, so
-        # it is backend-independent; what changes is which backend ran
-        assert row["backend"] == "dict"
-        assert row["aggregation_gain"] >= 1.0
-
 
 class TestGridAndSweep:
     def test_grid_covers_the_axes(self):

@@ -1,17 +1,19 @@
-"""Differential tests: compact (S,G) state vs. the dict seed backend.
+"""Model-based tests for the (S,G) state tables.
 
-The compact representation (interned keys, array-backed downstream
-tables, pooled :class:`OifSet` flag masks) must be *behaviourally
-transparent*: running any Figure 2-4 scenario under either backend
-must reproduce the committed golden trace digests byte-for-byte, and
-the table/bitset structures must agree with their plain dict/set
-models under arbitrary operation sequences.
+:class:`OifSet` and :class:`DownstreamTable` must agree with plain
+Python models — a ``set`` of uids and a ``{uid: flags}`` dict — under
+arbitrary operation sequences, and a Figure 2-4 scenario built from an
+explicit :class:`PimDmConfig` must still reproduce the committed golden
+trace digests (``tests/test_golden_traces.py`` pins the same digests
+through :func:`repro.core.goldens.run_canned`).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,37 +23,25 @@ from repro.core.goldens import CANNED_RUNS
 from repro.net.node import Node
 from repro.obs import digest_events
 from repro.pimdm import PimDmConfig
-from repro.pimdm.state import (
-    STATE_BACKENDS,
-    CompactDownstreamTable,
-    DictDownstreamTable,
-    OifSet,
-    SgInterner,
-    StateStore,
-    sg_key,
-)
-from repro.net import Address
+from repro.pimdm.state import DownstreamTable, OifSet
 from repro.sim import Simulator
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
 
-S = Address("2001:db8:1::64")
-G = Address("ff1e::1")
-
 
 # ----------------------------------------------------------------------
-# golden differential: both backends reproduce the committed digests
+# golden check: the state layout reproduces the committed digests
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", STATE_BACKENDS)
-@pytest.mark.parametrize("name", ("fig2", "fig3", "fig4"))
-def test_backend_keeps_golden_digest(name: str, backend: str) -> None:
+# The ids keep the name of the layout, the one that
+# ``STATE_BYTE_COSTS["compact"]`` prices.
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(name, id=f"{name}-compact") for name in ("fig2", "fig3", "fig4")],
+)
+def test_backend_keeps_golden_digest(name: str) -> None:
     recipe = CANNED_RUNS[name]
     sc = PaperScenario(
-        ScenarioConfig(
-            seed=0,
-            approach=recipe.approach,
-            pim=PimDmConfig(state_backend=backend),
-        )
+        ScenarioConfig(seed=0, approach=recipe.approach, pim=PimDmConfig())
     )
     sc.converge()
     host, link = recipe.move
@@ -61,19 +51,18 @@ def test_backend_keeps_golden_digest(name: str, backend: str) -> None:
     golden = json.loads((GOLDEN_DIR / f"{name}-seed0.json").read_text())
     events = sc.net.tracer.events
     assert len(events) == golden["events"], (
-        f"{name} under backend={backend} produced a different event count"
+        f"{name} produced a different event count"
     )
     assert digest_events(events) == golden["digest"], (
-        f"{name} trace drifted under state_backend={backend!r}: the "
-        "compact representation must be behaviourally invisible"
+        f"{name} trace drifted from the committed golden digest"
     )
 
 
 def test_unknown_backend_rejected() -> None:
-    with pytest.raises(ValueError):
-        PimDmConfig(state_backend="sparse")
-    with pytest.raises(ValueError):
-        StateStore("sparse")
+    # one state layout, so no config field chooses one
+    assert not [f.name for f in fields(PimDmConfig) if "backend" in f.name]
+    with pytest.raises(TypeError):
+        PimDmConfig(backend="compact")
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +117,7 @@ class TestOifSetModel:
 
 
 # ----------------------------------------------------------------------
-# downstream tables: compact vs. dict under the same op sequence
+# DownstreamTable vs. a {uid: flags} model under the same op sequence
 # ----------------------------------------------------------------------
 table_ops = st.lists(
     st.tuples(
@@ -148,92 +137,53 @@ class TestDownstreamTableDifferential:
         sim = Simulator()
         node = Node(sim, "N")
         ifaces = [node.new_interface() for _ in range(6)]
-        dict_table = DictDownstreamTable()
-        compact_table = CompactDownstreamTable()
+        table = DownstreamTable()
+        model: Dict[int, Dict[str, bool]] = {}
         for op, idx in sequence:
             iface = ifaces[idx]
-            for table in (dict_table, compact_table):
-                state = table.state_for(iface)
-                if op == "prune":
-                    state.pruned = True
-                elif op == "unprune":
-                    state.pruned = False
-                elif op == "lose":
-                    state.assert_loser = True
-                elif op == "clear_assert":
-                    state.clear_assert()
-                elif op == "clear_prune":
-                    state.clear_prune()
-        assert len(dict_table) == len(compact_table)
-        assert bool(dict_table) == bool(compact_table)
-        assert sorted(dict_table) == sorted(compact_table)
+            state = table.state_for(iface)
+            flags = model.setdefault(
+                iface.uid, {"pruned": False, "assert_loser": False}
+            )
+            if op == "prune":
+                state.pruned = flags["pruned"] = True
+            elif op == "unprune":
+                state.pruned = flags["pruned"] = False
+            elif op == "lose":
+                state.assert_loser = flags["assert_loser"] = True
+            elif op == "clear_assert":
+                state.clear_assert()
+                flags["assert_loser"] = False
+            elif op == "clear_prune":
+                state.clear_prune()
+                flags["pruned"] = False
+        assert len(table) == len(model)
+        assert bool(table) == bool(model)
+        # uid-indexed storage: iteration is ascending by uid
+        assert list(table) == sorted(model)
+        assert [s.iface.uid for s in table.values()] == sorted(model)
         for iface in ifaces:
-            a = dict_table.get(iface.uid)
-            b = compact_table.get(iface.uid)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.pruned == b.pruned
-                assert a.assert_loser == b.assert_loser
-                assert a.prune_pending == b.prune_pending
-        # the pooled masks mirror the per-state flags exactly
-        assert sorted(compact_table.pruned_oifs) == sorted(
-            s.iface.uid for s in dict_table.values() if s.pruned
+            state = table.get(iface.uid)
+            flags = model.get(iface.uid)
+            assert (state is None) == (flags is None)
+            if state is not None:
+                assert state.iface is iface
+                assert state.pruned == flags["pruned"]
+                assert state.assert_loser == flags["assert_loser"]
+                assert not state.prune_pending
+        # the pooled masks hold exactly the flagged uids
+        assert list(table.pruned_oifs) == sorted(
+            uid for uid, flags in model.items() if flags["pruned"]
         )
-        assert sorted(compact_table.assert_loser_oifs) == sorted(
-            s.iface.uid for s in dict_table.values() if s.assert_loser
+        assert list(table.assert_loser_oifs) == sorted(
+            uid for uid, flags in model.items() if flags["assert_loser"]
         )
 
     def test_state_for_is_idempotent(self):
         sim = Simulator()
         node = Node(sim, "N")
         iface = node.new_interface()
-        table = CompactDownstreamTable()
+        table = DownstreamTable()
         assert table.state_for(iface) is table.state_for(iface)
         assert table.get(iface.uid) is table.state_for(iface)
         assert table.get(999) is None
-
-
-# ----------------------------------------------------------------------
-# keying: interned ids vs. address-pair tuples
-# ----------------------------------------------------------------------
-addresses = st.integers(min_value=1, max_value=50).map(
-    lambda i: Address(f"2001:db8:1::{i:x}")
-)
-groups = st.integers(min_value=1, max_value=50).map(lambda i: Address(f"ff1e::{i:x}"))
-
-
-class TestStateStoreKeys:
-    def test_dict_backend_uses_sg_key(self):
-        store = StateStore("dict")
-        assert store.key(S, G) == sg_key(S, G)
-        assert store.interner is None
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(addresses, groups), min_size=1, max_size=40))
-    def test_compact_keys_are_dense_and_consistent(self, pairs):
-        store = StateStore("compact")
-        model = {}
-        for source, group in pairs:
-            key = store.key(source, group)
-            pair = sg_key(source, group)
-            if pair in model:
-                assert model[pair] == key  # stable on re-lookup
-            else:
-                assert key == len(model)  # dense allocation in first-seen order
-                model[pair] = key
-        # distinct pairs never share a key
-        assert len(set(model.values())) == len(model)
-
-    def test_reset_discards_interned_ids(self):
-        store = StateStore("compact")
-        first = store.key(S, G)
-        store.key(Address("2001:db8:1::65"), G)
-        store.reset()
-        assert store.key(Address("2001:db8:1::65"), G) == first
-
-    def test_interner_round_trips_addresses(self):
-        interner = SgInterner()
-        ident = interner.intern_address(S)
-        assert interner.address(ident) == S
-        assert interner.intern_address(Address(str(S))) == ident
-        assert len(interner) == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.net import Address
 from repro.net.interface import Interface
 from repro.net.node import Node
-from repro.pimdm.state import DownstreamState, SgEntry, sg_key
+from repro.pimdm.state import DownstreamTable, SgEntry, sg_key
 from repro.sim import Simulator, Timer
 
 S = Address("2001:db8:1::64")
@@ -31,9 +31,12 @@ class TestSgKey:
 
 
 class TestDownstreamState:
+    def _state(self, sim):
+        table = DownstreamTable()
+        return table, table.state_for(make_iface(sim))
+
     def test_prune_pending_reflects_timer(self, sim):
-        iface = make_iface(sim)
-        ds = DownstreamState(iface=iface)
+        _, ds = self._state(sim)
         assert not ds.prune_pending
         ds.prune_pending_timer = Timer(sim, lambda: None)
         ds.prune_pending_timer.start(3.0)
@@ -42,26 +45,28 @@ class TestDownstreamState:
         assert not ds.prune_pending
 
     def test_clear_prune_resets_everything(self, sim):
-        iface = make_iface(sim)
-        ds = DownstreamState(iface=iface)
+        table, ds = self._state(sim)
         ds.pruned = True
+        assert ds.iface.uid in table.pruned_oifs
         ds.prune_hold_timer = Timer(sim, lambda: None)
         ds.prune_hold_timer.start(10.0)
         ds.clear_prune()
         assert not ds.pruned
+        assert not table.pruned_oifs
         assert ds.prune_hold_timer is None
         assert ds.prune_pending_timer is None
 
     def test_clear_assert(self, sim):
-        iface = make_iface(sim)
-        ds = DownstreamState(iface=iface)
+        table, ds = self._state(sim)
         ds.assert_loser = True
+        assert ds.iface.uid in table.assert_loser_oifs
         ds.assert_winner = Address("2001:db8:2::1")
         ds.assert_winner_metric = 2
         ds.assert_timer = Timer(sim, lambda: None)
         ds.assert_timer.start(180.0)
         ds.clear_assert()
         assert not ds.assert_loser
+        assert not table.assert_loser_oifs
         assert ds.assert_winner is None
         assert ds.assert_timer is None
 
@@ -84,6 +89,7 @@ class TestSgEntry:
         ds = entry.downstream_state(iface)
         assert ds.iface is iface
         assert entry.downstream_state(iface) is ds  # cached
+        assert entry.downstream.get(iface.uid) is ds
 
     def test_upstream_target_prefers_assert_winner(self, sim):
         entry = self._entry(sim)

@@ -32,7 +32,7 @@ def _delivered_units(traffic_model: str) -> float:
     built = build_network(
         graph,
         seed=0,
-        pim_config=chaos_pim_config("compact"),
+        pim_config=chaos_pim_config(),
         mld_config=chaos_mld_config(),
         mipv6_config=chaos_mipv6_config(),
     )
