@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -1319,6 +1320,15 @@ def main(argv=None) -> None:
     if args.command in (None, "list"):
         print("experiments:", ", ".join(COMMANDS))
         return
+    probe_interval = getattr(args, "probe_interval", None)
+    if probe_interval is not None and not (
+        math.isfinite(probe_interval) and probe_interval > 0
+    ):
+        # checked once here: a campaign would otherwise fail every cell
+        raise SystemExit(
+            "error: --probe-interval must be a positive number, "
+            f"got {probe_interval:g}"
+        )
     if getattr(args, "check_invariants", False):
         # Environment, not a parameter: worker processes inherit it, so
         # every PaperScenario — local or in a campaign shard —

@@ -83,6 +83,7 @@ def ha_load_mobiles_cell(
             40.0 + 0.1 * k, host.move_to, sc.paper.link("L6")
         )
     sc.run_until(45.0)
+    sc.traffic.sync()  # fluid counters integrate lazily: bring them to now
     d = sc.paper.router("D")
     base_encap = d.load["encapsulations"]
     base_tunneled = d.tunneled_to_mobiles
@@ -170,6 +171,7 @@ def ha_load_groups_cell(
         src.start()
     sc.move("MG", "L6", at=40.0)
     sc.run_until(45.0)
+    sc.traffic.sync()
     d = sc.paper.router("D")
     base = d.load["encapsulations"]
     sc.run_for(measure_window)
@@ -226,6 +228,7 @@ def ha_load_rate_cell(
     sc.converge()
     sc.move("R3", "L6", at=40.0)
     sc.run_until(45.0)
+    sc.traffic.sync()
     d = sc.paper.router("D")
     base = d.load["encapsulations"]
     sc.run_for(measure_window)

@@ -19,7 +19,7 @@ agent) are composed in :mod:`repro.pimdm.router` and
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..sim import RngRegistry, Simulator, Tracer
 from .addressing import Address
@@ -56,6 +56,8 @@ class Node:
         self._iface_uid = itertools.count(1)
         self.routing = RoutingTable()
         self._message_handlers: Dict[Type[Message], List[MessageHandler]] = {}
+        #: concrete payload type -> every handler it runs, in dispatch order
+        self._dispatch_cache: Dict[type, Tuple[MessageHandler, ...]] = {}
         self._option_handlers: Dict[Type[DestinationOption], List[OptionHandler]] = {}
         self._tunnel_handlers: List[TunnelHandler] = []
         #: counters exposed for the system-load comparison (§4.3)
@@ -142,6 +144,7 @@ class Node:
         self, message_type: Type[Message], handler: MessageHandler
     ) -> None:
         self._message_handlers.setdefault(message_type, []).append(handler)
+        self._dispatch_cache.clear()
 
     def register_option_handler(
         self, option_type: Type[DestinationOption], handler: OptionHandler
@@ -269,17 +272,28 @@ class Node:
         self.dispatch_message(packet, iface)
 
     def dispatch_message(self, packet: Ipv6Packet, iface: Interface) -> bool:
-        """Invoke handlers registered for the payload's message type."""
+        """Invoke handlers registered for the payload's message type or
+        any of its base classes, in registration order of the types.
+        Returns whether any handler ran."""
         message = packet.payload
-        if not isinstance(message, Message):
-            return False
-        handled = False
-        for msg_type, handlers in self._message_handlers.items():
-            if isinstance(message, msg_type):
-                for handler in handlers:
-                    handler(packet, message, iface)
-                    handled = True
-        return handled
+        handlers = self._dispatch_cache.get(type(message))
+        if handlers is None:
+            handlers = self._resolve_handlers(type(message))
+        for handler in handlers:
+            handler(packet, message, iface)
+        return bool(handlers)
+
+    def _resolve_handlers(self, cls: type) -> Tuple[MessageHandler, ...]:
+        handlers: Tuple[MessageHandler, ...] = ()
+        if issubclass(cls, Message):
+            handlers = tuple(
+                handler
+                for msg_type, registered in self._message_handlers.items()
+                if issubclass(cls, msg_type)
+                for handler in registered
+            )
+        self._dispatch_cache[cls] = handlers
+        return handlers
 
     # ------------------------------------------------------------------
     # unicast forwarding (routers)

@@ -81,6 +81,9 @@ class PimDmEngine:
         self._hello_timers: List[PeriodicTimer] = []
         self._join_override_events: Dict[tuple, Event] = {}
         self._last_assert_sent: Dict[Tuple[tuple, int], float] = {}
+        #: bumped whenever a neighbor table or a membership changes: part
+        #: of the stamp that validates each entry's cached oif tuple
+        self._oif_version = 0
         self._rng = node.rng.stream(f"pim.{node.name}")
 
         node.register_message_handler(PimHello, self._on_hello)
@@ -133,6 +136,7 @@ class PimDmEngine:
         self._join_override_events.clear()
         self._last_assert_sent.clear()
         self.node_groups.clear()
+        self._oif_version += 1
 
     # ------------------------------------------------------------------
     # neighbor discovery
@@ -156,6 +160,7 @@ class PimDmEngine:
                 name=f"{self.node.name}.pim.nbr.{packet.src}",
             )
             table[packet.src] = timer
+            self._oif_version += 1
             self.node.trace(
                 "pim", event="neighbor-up", iface=iface.name, neighbor=str(packet.src)
             )
@@ -178,6 +183,7 @@ class PimDmEngine:
     def _neighbor_expired(self, iface: Interface, address: Address) -> None:
         table = self.neighbors.get(iface.uid, {})
         table.pop(address, None)
+        self._oif_version += 1
         self.node.trace(
             "pim", event="neighbor-expired", iface=iface.name, neighbor=str(address)
         )
@@ -197,8 +203,30 @@ class PimDmEngine:
     def _has_local_members(self, iface: Interface, group: Address) -> bool:
         return self.mld is not None and self.mld.has_members(iface, group)
 
-    def outgoing_ifaces(self, entry: SgEntry) -> List[Interface]:
-        """The entry's current outgoing interface list (computed live)."""
+    def outgoing_ifaces(self, entry: SgEntry) -> Tuple[Interface, ...]:
+        """The entry's current outgoing interface list.
+
+        Cached on the entry and stamped with everything the rule reads:
+        the engine's neighbor/membership version, the upstream
+        interface, and the pruned and assert-loser masks.
+        """
+        table = entry.downstream
+        stamp = (
+            self._oif_version,
+            entry.upstream_iface,
+            table.pruned_oifs.as_int(),
+            table.assert_loser_oifs.as_int(),
+        )
+        cached = entry.oif_cache
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        result = tuple(self._compute_oifs(entry))
+        entry.oif_cache = (stamp, result)
+        return result
+
+    def _compute_oifs(self, entry: SgEntry) -> List[Interface]:
+        """The oif rule: attached, not upstream, not an assert loser, and
+        either local members or unpruned PIM neighbors."""
         result: List[Interface] = []
         for iface in self.node.interfaces:
             if not iface.attached or iface is entry.upstream_iface:
@@ -761,6 +789,7 @@ class PimDmEngine:
     def on_membership_change(
         self, iface: Interface, group: Address, present: bool
     ) -> None:
+        self._oif_version += 1
         for entry in self.entries_for_group(group):
             if present:
                 ds = entry.downstream_state(iface)

@@ -263,6 +263,8 @@ class SgEntry:
     #: Statistics for the experiments.
     packets_forwarded: int = 0
     packets_discarded: int = 0
+    #: ``(stamp, oifs)`` kept by ``PimDmEngine.outgoing_ifaces``
+    oif_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property

@@ -270,12 +270,14 @@ class Simulator:
     ) -> Event:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative.  A zero delay schedules the
-        callback at the current instant, after all callbacks already
-        queued for this instant (FIFO ordering).
+        ``delay`` must be non-negative (NaN is rejected, ``inf`` is
+        allowed).  A zero delay schedules the callback at the current
+        instant, after all callbacks already queued for this instant
+        (FIFO ordering).
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
+        # written so that NaN fails the test: a NaN key breaks the heap order
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay: {delay!r}")
         return self.schedule_at(self._now + delay, fn, *args, label=label, **kwargs)
 
     def schedule_at(
@@ -286,8 +288,8 @@ class Simulator:
         label: str = "",
         **kwargs: Any,
     ) -> Event:
-        """Schedule ``fn`` at an absolute simulation time."""
-        if time < self._now:
+        """Schedule ``fn`` at an absolute simulation time (not NaN)."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, now is t={self._now!r}"
             )

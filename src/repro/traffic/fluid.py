@@ -31,13 +31,16 @@ How it works
   (Gilbert–Elliott: stationary expected throughput).
 
 * **Integration.**  A trace listener watches the protocol-event
-  categories (pim/pim.state/mld/mipv6/mobility/fault).  On the first
-  event of a new timestamp the elapsed interval is integrated with the
-  *old* table (no protocol event happened strictly inside it, so the
-  rates were constant); a zero-delay recomputation is scheduled so the
-  new table reflects every same-timestamp state change.  Direct link
+  categories (pim/pim.state/mld/mipv6/mobility/fault).  The first event
+  of a timestamp schedules one zero-delay recomputation, so the new
+  table reflects every same-timestamp state change; direct link
   mutations (``set_down`` without a fault plan) are caught by
-  ``Link.add_on_change``.  Synthetic boundary events are emitted under
+  ``Link.add_on_change``.  ``recomputes`` counts these boundary events.
+  A recomputation that rebuilds the installed table changes nothing.
+  Only when the table differs is the constant-rate segment that ends
+  here integrated, once, with the *old* table (no rate changed strictly
+  inside it), and the new table installed; a reader mid-segment calls
+  :meth:`FluidModel.sync`.  Synthetic boundary events are emitted under
   the ``fluid`` trace category whenever a link's rate changes, so
   offline analysis can still see tree boundaries.
 
@@ -46,6 +49,7 @@ See ``docs/TRAFFIC.md`` for the packet-vs-fluid tolerance contract.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +58,7 @@ from ..mipv6.mobile_node import MobileNode
 from ..net.addressing import Address
 from ..net.messages import ApplicationData
 from ..net.packet import IPV6_HEADER_BYTES
+from ..pimdm.state import sg_key
 from .base import TrafficModel, register_traffic_model
 from .sources import CbrSource, OnOffSource
 
@@ -126,6 +131,10 @@ class FluidSource(CbrSource):
         self.model = model
         if probe_interval is None:
             probe_interval = packet_interval * DEFAULT_PROBE_FACTOR
+        if not math.isfinite(probe_interval):
+            raise ValueError(
+                f"probe_interval must be finite, got {probe_interval!r}"
+            )
         if probe_interval < packet_interval:
             raise ValueError("probe_interval must be >= packet_interval")
         self.probe_interval = probe_interval
@@ -261,9 +270,9 @@ class FluidModel(TrafficModel):
         self._recompute_pending = False
         #: link name -> category -> (bytes/s, packets/s)
         self._link_rates: Dict[str, Dict[str, Tuple[float, float]]] = {}
-        #: counter top-up rates: (kind, obj, key) where kind is "load"
-        #: (node.load[key]) or "attr" (setattr on obj)
-        self._counter_rates: List[Tuple[str, object, str, float]] = []
+        #: counter top-up rates: (kind, key) -> {obj: rate}, where kind
+        #: is "load" (obj.load[key]) or "attr" (setattr on obj)
+        self._counter_rates: Dict[Tuple[str, str], Dict[object, float]] = {}
         #: member-host delivery rates (bytes/s of inner packet)
         self._delivery_rates: Dict[str, float] = {}
         #: analytic loss rates by reason (bytes/s)
@@ -274,7 +283,6 @@ class FluidModel(TrafficModel):
         self.analytic_bytes = 0.0
         self.analytic_packets = 0.0
         self.recomputes = 0
-        self.integrations = 0
         # out-of-cycle probe dedup: flows already resynced at _resync_at
         self._resync_at = -1.0
         self._resync_flows: set = set()
@@ -409,12 +417,8 @@ class FluidModel(TrafficModel):
             self._touch()
 
     def _touch(self) -> None:
-        """A protocol boundary at ``sim.now``: close the constant-rate
-        interval that ends here and schedule one end-of-timestamp
-        recomputation."""
-        now = self.net.sim.now
-        if now > self._last_sync:
-            self._integrate(now)
+        """A protocol boundary at ``sim.now``: schedule one
+        end-of-timestamp recomputation."""
         if not self._recompute_pending:
             self._recompute_pending = True
             self.net.sim.schedule(0.0, self._recompute_event, label="fluid.recompute")
@@ -423,7 +427,6 @@ class FluidModel(TrafficModel):
         self._recompute_pending = False
         # The zero-delay event runs after every same-timestamp protocol
         # handler already queued, so the table reflects all of them.
-        self.sync()
         self._recompute()
 
     # ------------------------------------------------------------------
@@ -434,18 +437,20 @@ class FluidModel(TrafficModel):
         self._last_sync = until
         if dt <= 0.0:
             return
-        self.integrations += 1
         stats = self.net.stats
         for link_name, cats in self._link_rates.items():
             for category, (brate, prate) in cats.items():
                 stats.account_fluid(link_name, category, brate * dt, prate * dt)
                 self.analytic_bytes += brate * dt
                 self.analytic_packets += prate * dt
-        for kind, obj, key, rate in self._counter_rates:
+        for (kind, key), rates in self._counter_rates.items():
             if kind == "load":
-                obj.load[key] = obj.load.get(key, 0) + rate * dt
+                for obj, rate in rates.items():
+                    load = obj.load
+                    load[key] = load.get(key, 0) + rate * dt
             else:
-                setattr(obj, key, getattr(obj, key, 0) + rate * dt)
+                for obj, rate in rates.items():
+                    setattr(obj, key, getattr(obj, key, 0) + rate * dt)
         for host_name, rate in self._delivery_rates.items():
             self.delivered_bytes[host_name] += rate * dt
         for reason, rate in self._loss_rates.items():
@@ -455,17 +460,26 @@ class FluidModel(TrafficModel):
     # rate-table recomputation
     # ------------------------------------------------------------------
     def _recompute(self) -> None:
-        old_rates = self._link_rates
-        old_deliveries = self._delivery_rates
+        self.recomputes += 1
         plan = _RatePlan()
         for src in self.flows:
             if src.emitting:
                 self._plan_flow(src, plan)
+        counters = plan.counter_rates()
+        if (
+            plan.links == self._link_rates
+            and counters == self._counter_rates
+            and plan.deliveries == self._delivery_rates
+            and plan.losses == self._loss_rates
+        ):
+            return  # the installed table still holds: the segment goes on
+        self.sync()  # close the constant-rate segment with the old table
+        old_rates = self._link_rates
+        old_deliveries = self._delivery_rates
         self._link_rates = plan.links
-        self._counter_rates = plan.counters()
+        self._counter_rates = counters
         self._delivery_rates = dict(plan.deliveries)
         self._loss_rates = dict(plan.losses)
-        self.recomputes += 1
         self._emit_boundaries(old_rates, self._link_rates)
         # A receiver's delivery rate went 0 -> positive: the tree just
         # became ready for it (graft completed / oif added).  This is
@@ -483,9 +497,13 @@ class FluidModel(TrafficModel):
         tracer = self.net.tracer
         if not tracer.wants("fluid"):
             return
-        for link_name in old.keys() | new.keys():
-            before = sum(b for b, _ in old.get(link_name, {}).values())
-            after = sum(b for b, _ in new.get(link_name, {}).values())
+        # a fixed order: the new table's links, then those it dropped
+        for link_name in [*new, *(name for name in old if name not in new)]:
+            cats_before, cats_after = old.get(link_name, {}), new.get(link_name, {})
+            if cats_before == cats_after:
+                continue
+            before = sum(b for b, _ in cats_before.values())
+            after = sum(b for b, _ in cats_after.values())
             if abs(after - before) > 1e-9:
                 tracer.record(
                     "fluid",
@@ -546,7 +564,7 @@ class FluidModel(TrafficModel):
         """Figure 4 sending: MN --unicast tunnel--> HA --> home tree."""
         plan.add_counter("load", node, "encapsulations", lrate)
         endpoint, factor = self._plan_unicast_path(
-            node, node.home_agent_address, brate, prate, lrate, plan, tunneled=True
+            node, node.home_agent_address, brate, prate, lrate, plan
         )
         if endpoint is None or factor <= 0.0:
             return
@@ -560,13 +578,12 @@ class FluidModel(TrafficModel):
         if home_iface is None or home_iface.link is None:
             return
         b, p, l = brate * factor, prate * factor, lrate * factor
+        key = sg_key(node.home_address, src.group)
         queue = deque()
         self._router_receive(
-            endpoint, home_iface, node.home_address, src.group,
-            b, p, l, _MAX_HOPS, queue, plan, count_processed=False,
+            endpoint, home_iface, key, src.group, b, p, l, _MAX_HOPS, queue, plan
         )
-        queue.append((home_iface.link, endpoint, node.home_address, src.group,
-                      b, p, l, _MAX_HOPS))
+        queue.append((home_iface.link, endpoint, key, src.group, b, p, l, _MAX_HOPS))
         self._drain_tree(queue, plan)
 
     def _plan_tree(
@@ -574,48 +591,48 @@ class FluidModel(TrafficModel):
     ) -> None:
         queue = deque()
         queue.append(
-            (first_link, sender_node, Address(source), Address(group),
+            (first_link, sender_node, sg_key(source, group), Address(group),
              brate, prate, lrate, _MAX_HOPS)
         )
         self._drain_tree(queue, plan)
 
     def _drain_tree(self, queue, plan) -> None:
+        losses, processed = plan.losses, plan.processed
         while queue:
-            link, sender, source, group, b, p, l, hops = queue.popleft()
+            link, sender, key, group, b, p, l, hops = queue.popleft()
             if link is None or hops <= 0:
                 continue
             if not link.up:
-                plan.losses["link-down"] += b
+                losses["link-down"] += b
                 continue
             plan.charge(link.name, "mcast_data", b, p)
             keep = 1.0 - link.loss_rate
             if keep < 1.0:
-                plan.losses["link-loss"] += b * (1.0 - keep)
+                losses["link-loss"] += b * (1.0 - keep)
             rb, rp, rl = b * keep, p * keep, l * keep
             for iface in link.interfaces:
                 node = iface.node
-                if node is sender or getattr(node, "crashed", False):
+                if node is sender or node.crashed:
                     continue
-                plan.add_counter("load", node, "packets_processed", rl)
+                if rl > 0.0:
+                    processed[node] = processed.get(node, 0.0) + rl
                 if node.is_router:
                     self._router_receive(
-                        node, iface, source, group, rb, rp, rl, hops - 1,
-                        queue, plan,
-                        count_processed=True,
+                        node, iface, key, group, rb, rp, rl, hops - 1, queue, plan
                     )
                 elif group in getattr(node, "joined_groups", ()):
                     plan.deliveries[node.name] += rb
 
     def _router_receive(
-        self, router, iface, source, group, b, p, l, hops,
-        queue, plan, count_processed,
+        self, router, iface, key, group, b, p, l, hops, queue, plan
     ) -> None:
         """Apply the packet-mode forwarding rules of
-        ``PimDmEngine.on_multicast_data`` analytically."""
+        ``PimDmEngine.on_multicast_data`` analytically; ``key`` is the
+        flow's :func:`~repro.pimdm.state.sg_key`."""
         pim = getattr(router, "pim", None)
         if pim is None:
             return
-        entry = pim.get_entry(source, group)
+        entry = pim.entries.get(key)
         if entry is None:
             # No (S,G) state: the next real probe creates it (and the
             # entry-created event triggers a recomputation), exactly
@@ -627,13 +644,14 @@ class FluidModel(TrafficModel):
             return
         outs = pim.outgoing_ifaces(entry)
         if outs and hops > 0:
-            plan.add_counter("load", router, "packets_forwarded", l * len(outs))
+            if l > 0.0:
+                forwarded = plan.forwarded
+                forwarded[router] = forwarded.get(router, 0.0) + l * len(outs)
             for oif in outs:
                 if oif.link is not None:
-                    queue.append(
-                        (oif.link, router, source, group, b, p, l, hops)
-                    )
-        if group in pim.node_groups:
+                    queue.append((oif.link, router, key, group, b, p, l, hops))
+        node_groups = pim.node_groups
+        if node_groups and group in node_groups:
             self._plan_ha_relay(router, group, b, p, l, plan)
 
     def _plan_ha_relay(self, router, group, b, p, l, plan) -> None:
@@ -646,18 +664,16 @@ class FluidModel(TrafficModel):
             plan.add_counter("load", router, "encapsulations", l)
             plan.add_counter("attr", router, "tunneled_to_mobiles", l)
             endpoint, factor = self._plan_unicast_path(
-                router, entry.care_of_address, b, p, l, plan, tunneled=True
+                router, entry.care_of_address, b, p, l, plan
             )
             if endpoint is not None and factor > 0.0:
                 plan.add_counter("load", endpoint, "decapsulations", l * factor)
                 plan.deliveries[endpoint.name] += b * factor
 
-    def _plan_unicast_path(
-        self, from_node, dst, b, p, l, plan, tunneled=False
-    ):
-        """Walk the unicast route from ``from_node`` to ``dst`` exactly
-        as ``route_and_send``/``forward_unicast`` would, charging every
-        traversed link.  Returns ``(endpoint_node, delivery_factor)``
+    def _plan_unicast_path(self, from_node, dst, b, p, l, plan):
+        """Walk the tunneled unicast route from ``from_node`` to ``dst``
+        exactly as ``route_and_send``/``forward_unicast`` would, charging
+        every traversed link its data and tunnel-header bytes.  Returns ``(endpoint_node, delivery_factor)``
         where the factor is the product of per-link keep-probabilities
         (None endpoint: the path dead-ends — routed nowhere, link down,
         or neighbor-discovery failure — and the loss is recorded)."""
@@ -693,11 +709,9 @@ class FluidModel(TrafficModel):
                 plan.losses["nd-failure"] += b * factor
                 return None, 0.0
             plan.charge(link.name, "mcast_data", b * factor, p * factor)
-            if tunneled:
-                plan.charge(
-                    link.name, "tunnel_overhead",
-                    IPV6_HEADER_BYTES * p * factor, 0.0,
-                )
+            plan.charge(
+                link.name, "tunnel_overhead", IPV6_HEADER_BYTES * p * factor, 0.0
+            )
             factor *= 1.0 - link.loss_rate
             nxt = target.node
             if getattr(nxt, "crashed", False):
@@ -734,13 +748,17 @@ class FluidModel(TrafficModel):
 class _RatePlan:
     """Accumulator for one rate-table recomputation."""
 
-    __slots__ = ("links", "deliveries", "losses", "_counters")
+    __slots__ = ("links", "deliveries", "losses", "counters", "processed", "forwarded")
 
     def __init__(self) -> None:
         self.links: Dict[str, Dict[str, Tuple[float, float]]] = {}
         self.deliveries: Dict[str, float] = defaultdict(float)
         self.losses: Dict[str, float] = defaultdict(float)
-        self._counters: Dict[Tuple[int, str, str], List] = {}
+        #: (kind, key) -> {obj: rate}, each filled in visit order
+        self.counters: Dict[Tuple[str, str], Dict[object, float]] = {}
+        # the two per-hop counters, added to inline by the tree walk
+        self.processed = self.counters[("load", "packets_processed")] = {}
+        self.forwarded = self.counters[("load", "packets_forwarded")] = {}
 
     def charge(self, link_name, category, brate, prate) -> None:
         cats = self.links.get(link_name)
@@ -755,11 +773,11 @@ class _RatePlan:
     def add_counter(self, kind, obj, key, rate) -> None:
         if rate <= 0.0:
             return
-        slot = self._counters.get((id(obj), kind, key))
-        if slot is None:
-            self._counters[(id(obj), kind, key)] = [kind, obj, key, rate]
-        else:
-            slot[3] += rate
+        rates = self.counters.get((kind, key))
+        if rates is None:
+            rates = self.counters[(kind, key)] = {}
+        rates[obj] = rates.get(obj, 0.0) + rate
 
-    def counters(self) -> List[Tuple[str, object, str, float]]:
-        return [tuple(v) for v in self._counters.values()]
+    def counter_rates(self) -> Dict[Tuple[str, str], Dict[object, float]]:
+        """The non-empty counter dicts: the table's counter part."""
+        return {kind_key: rates for kind_key, rates in self.counters.items() if rates}

@@ -150,6 +150,13 @@ class TestBadArguments:
             (["faults", "--loss", "1.5"], "--loss rates must be in [0, 1)"),
             (["faults", "--approaches", "bogus"], "unknown approach"),
             (["bench", "--scale", "0"], "--scale must be positive"),
+            (["sweep", "scale", "--traffic-model", "fluid",
+              "--probe-interval", "0"],
+             "--probe-interval must be a positive number, got 0"),
+            (["scaling", "--traffic-model", "fluid", "--probe-interval=-1"],
+             "--probe-interval must be a positive number, got -1"),
+            (["fig2", "--traffic-model", "fluid", "--probe-interval", "nan"],
+             "--probe-interval must be a positive number, got nan"),
             (["bench", "--tolerance", "1.5"], "--tolerance must be in [0, 1)"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,

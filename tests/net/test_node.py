@@ -3,12 +3,14 @@
 import pytest
 
 from repro.mld import MldQuery, MldReport
+from repro.mld.messages import MldMessage
 from repro.net import (
     Address,
     ApplicationData,
     ControlPayload,
     Host,
     Ipv6Packet,
+    Message,
     Network,
     Node,
 )
@@ -67,6 +69,45 @@ class TestDispatch:
         p = Ipv6Packet(Address("2001:db8::2"), h.primary_address(), MldQuery())
         h.receive(p, h.interfaces[0])
         assert seen == ["a", "b"]
+
+    def test_base_and_subclass_handlers_run_in_type_registration_order(self, net):
+        """A payload runs the handlers of every registered type it is an
+        instance of: types in the order they were first registered, each
+        type's handlers in the order they were added."""
+        h = Host(net.sim, "H", rng=net.rng)
+        iface = h.attach_to(net.add_link("L", "2001:db8::/64"))
+        seen = []
+        h.register_message_handler(MldReport, lambda p, m, i: seen.append("report-1"))
+        h.register_message_handler(MldMessage, lambda p, m, i: seen.append("mld"))
+        h.register_message_handler(Message, lambda p, m, i: seen.append("any"))
+        h.register_message_handler(MldReport, lambda p, m, i: seen.append("report-2"))
+        report = Ipv6Packet(Address("2001:db8::2"), Address("ff1e::1"),
+                            MldReport(Address("ff1e::1")))
+        assert h.dispatch_message(report, iface) is True
+        assert seen == ["report-1", "report-2", "mld", "any"]
+        seen.clear()
+        query = Ipv6Packet(Address("2001:db8::2"), Address("ff1e::1"), MldQuery())
+        assert h.dispatch_message(query, iface) is True
+        assert seen == ["mld", "any"]
+
+    def test_handler_registered_after_first_dispatch_is_used(self, net):
+        h = Host(net.sim, "H", rng=net.rng)
+        iface = h.attach_to(net.add_link("L", "2001:db8::/64"))
+        p = Ipv6Packet(Address("2001:db8::2"), Address("ff1e::1"), MldQuery())
+        assert h.dispatch_message(p, iface) is False
+        seen = []
+        h.register_message_handler(MldQuery, lambda p, m, i: seen.append(m))
+        assert h.dispatch_message(p, iface) is True
+        assert seen == [p.payload]
+
+    def test_non_message_payload_is_not_dispatched(self, net):
+        h = Host(net.sim, "H", rng=net.rng)
+        iface = h.attach_to(net.add_link("L", "2001:db8::/64"))
+        seen = []
+        h.register_message_handler(Message, lambda p, m, i: seen.append(m))
+        p = Ipv6Packet(Address("2001:db8::2"), Address("ff1e::1"), "not a message")
+        assert h.dispatch_message(p, iface) is False
+        assert seen == []
 
     def test_unicast_not_mine_dropped_by_host(self, net):
         link = net.add_link("L", "2001:db8::/64")

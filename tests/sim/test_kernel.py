@@ -54,6 +54,24 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_delay_rejected(self, sim):
+        """NaN compares False both ways, so a ``delay < 0`` guard lets it
+        into the heap, where it breaks the time order of later events."""
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.events_pending == 0
+
+    def test_nan_time_rejected(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.events_pending == 0
+
+    def test_infinite_delay_allowed(self, sim):
+        event = sim.schedule(float("inf"), lambda: None)
+        assert event.pending
+        sim.run(until=10.0)
+        assert sim.now == 10.0 and event.pending
+
     def test_kwargs_passed(self, sim):
         got = {}
         sim.schedule(1.0, lambda **kw: got.update(kw), a=1, b=2)

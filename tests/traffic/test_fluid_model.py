@@ -94,6 +94,12 @@ class TestProbes:
         with pytest.raises(ValueError, match="probe_interval"):
             _fluid_scenario(probe_interval=0.01)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_probe_interval_rejected(self, value):
+        """NaN passes a ``<`` check and then schedules NaN-time probes."""
+        with pytest.raises(ValueError, match="probe_interval must be finite"):
+            _fluid_scenario(probe_interval=value)
+
 
 class TestLossModels:
     def test_bernoulli_loss_scales_rates(self):
