@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro.mipv6 import HomeAgent, MobileNode
 from repro.net import Host, Network, make_multicast_group
-from repro.workloads import CbrSource, ReceiverApp
+from repro.traffic import CbrSource, ReceiverApp
 
 
 def main() -> None:

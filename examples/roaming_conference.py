@@ -15,7 +15,7 @@ Run:  python examples/roaming_conference.py        (~30 s)
 from repro.analysis import fmt_seconds, render_table
 from repro.core import ALL_APPROACHES, PaperScenario, ScenarioConfig
 from repro.mobility import RandomWaypointMobility
-from repro.workloads import ReceiverApp
+from repro.traffic import ReceiverApp
 
 
 def run_approach(approach, seed=7, duration=600.0):

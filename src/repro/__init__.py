@@ -30,7 +30,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.core``     the four approaches, Figure 1 scenarios, metrics,
                    §4.3 comparison, §4.4 timer sweep
 ``repro.mobility`` movement models
-``repro.workloads`` traffic sources and receiver apps
+``repro.traffic``  traffic engines, sources and receiver apps
 ``repro.analysis`` closed-form delay models, tables, tree rendering
 =================  ===================================================
 """

@@ -20,12 +20,7 @@ from .phases import (
     span_receiver_run,
 )
 from .tables import Column, fmt_bytes, fmt_float, fmt_seconds, render_table
-from .timeline import (
-    export_trace_json,
-    handoff_timeline,
-    load_trace_json,
-    render_timeline,
-)
+from .timeline import handoff_timeline, render_timeline
 from .timeseries import BandwidthRecorder, render_series, sparkline
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "Column",
     "disruption_from_spans",
     "expected_join_delay_unsolicited",
-    "export_trace_json",
     "expected_join_delay_wait_for_query",
     "expected_leave_delay",
     "fmt_bytes",
@@ -42,7 +36,6 @@ __all__ = [
     "handoff_timeline",
     "handovers_of",
     "join_delay_from_spans",
-    "load_trace_json",
     "leave_delay_bounds",
     "leave_delay_from_spans",
     "phase_breakdown",

@@ -1,4 +1,4 @@
-"""Trace timelines and export.
+"""Trace timelines.
 
 Debugging/analysis aids over the structured trace:
 
@@ -6,11 +6,10 @@ Debugging/analysis aids over the structured trace:
   handoff (detach → attach → detection → CoA → BU/BA → first
   delivery), the sequence behind every join-delay number,
 * :func:`render_timeline` — align any event list as a time-offset
-  table,
-* :func:`export_trace_json` / :func:`load_trace_json` — lossless trace
-  round-trip for external tooling (thin wrappers over
-  :mod:`repro.obs.export`, which adds the versioned header and stats
-  snapshots used by ``python -m repro trace``).
+  table.
+
+Lossless trace export and re-import live in :mod:`repro.obs.export`
+(``export_run`` / ``import_run``).
 """
 
 from __future__ import annotations
@@ -18,15 +17,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..net import Network
-from ..obs.export import export_run, read_events
-from ..sim import TraceEvent, Tracer
+from ..sim import TraceEvent
 
-__all__ = [
-    "handoff_timeline",
-    "render_timeline",
-    "export_trace_json",
-    "load_trace_json",
-]
+__all__ = ["handoff_timeline", "render_timeline"]
 
 #: (category, event) pairs that tell the handoff story, in causal order.
 _HANDOFF_EVENTS = (
@@ -82,14 +75,3 @@ def render_timeline(events: List[TraceEvent], origin: Optional[float] = None) ->
         )
         lines.append(f"  +{ev.time - base:9.3f}s  {label:<20} {extras}")
     return "\n".join(lines)
-
-
-def export_trace_json(tracer: Tracer, path: str) -> int:
-    """Write the whole trace as JSON lines; returns the event count."""
-    return export_run(path, tracer)
-
-
-def load_trace_json(path: str) -> List[TraceEvent]:
-    """Read the events back from :func:`export_trace_json` output (or
-    any ``repro.obs.export`` JSONL file; non-event lines are skipped)."""
-    return read_events(path)

@@ -574,11 +574,19 @@ class CampaignRunner:
                 ready = [q for q in queue if q[2] <= now]
                 if ready and len(active) < workers:
                     for index, attempt, _ in ready[: workers - len(active)]:
+                        try:
+                            future = pool.submit(
+                                _execute_cell, resolved[index].task,
+                                dict(resolved[index].params),
+                            )
+                        except BrokenProcessPool:
+                            # a worker died after the last wait: the cell
+                            # stays queued, and the wait below collects the
+                            # dead worker's future and restarts the pool
+                            if not active:
+                                restart_pool("worker-death")
+                            break
                         queue.remove((index, attempt, _))
-                        future = pool.submit(
-                            _execute_cell, resolved[index].task,
-                            dict(resolved[index].params),
-                        )
                         active[future] = _Attempt(index, attempt)
                 if not active:
                     # nothing in flight: sleep until the nearest backoff ends

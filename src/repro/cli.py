@@ -11,6 +11,9 @@ Reproduces any experiment from DESIGN.md §5 without writing code::
     python -m repro scaling              # HA load sweeps (§4.3.2)
     python -m repro table1
 
+``compare``, ``timers`` and ``scaling`` run the ``sweep`` grid of the
+same name without a campaign cache.
+
 Campaigns (see docs/CAMPAIGNS.md)::
 
     python -m repro sweep compare --jobs 4 --cache-dir .repro-cache
@@ -67,8 +70,6 @@ from .analysis import fmt_seconds, render_figure
 from .campaign import CampaignError, CampaignRunner
 from .core import (
     ALL_APPROACHES,
-    BIDIRECTIONAL_TUNNEL,
-    LOCAL_MEMBERSHIP,
     ROUTER_LINKS,
     PaperScenario,
     ScenarioConfig,
@@ -87,7 +88,6 @@ from .core import (
 from .core.goldens import CANNED_RUNS
 from .core.report import generate_report
 from .core.timer_optimization import render_sweep
-from .mld import MldConfig
 from .obs import (
     KernelProfiler,
     MetricsRegistry,
@@ -104,115 +104,88 @@ def _print_json(payload: Any) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
-def _scenario_config(args: argparse.Namespace, approach) -> ScenarioConfig:
-    """ScenarioConfig from the shared experiment flags."""
-    return ScenarioConfig(
-        seed=args.seed,
-        approach=approach,
-        traffic_model=getattr(args, "traffic_model", "packet"),
-        probe_interval=getattr(args, "probe_interval", None),
+def _traffic(args: argparse.Namespace) -> Dict[str, Any]:
+    """The traffic-engine flags as keyword arguments."""
+    return {
+        "traffic_model": args.traffic_model,
+        "probe_interval": args.probe_interval,
+    }
+
+
+def _fig1(sc: PaperScenario):
+    asserts, prunes = sc.metrics.assert_count(), sc.metrics.prune_count()
+    return (
+        {"asserts": asserts, "prunes": prunes},
+        None,
+        [f"asserts: {asserts}  prunes: {prunes}"],
     )
 
 
-def _fig1(args: argparse.Namespace) -> None:
-    sc = PaperScenario(_scenario_config(args, LOCAL_MEMBERSHIP))
-    sc.converge()
-    sc.finish()
-    asserts, prunes = sc.metrics.assert_count(), sc.metrics.prune_count()
-    if args.json:
-        _print_json(
-            {
-                "experiment": "fig1",
-                "seed": args.seed,
-                "tree": sc.current_tree(),
-                "asserts": asserts,
-                "prunes": prunes,
-            }
-        )
-        return
-    print(render_figure(sc.current_tree(), "L1", ROUTER_LINKS,
-                        title="Figure 1 — initial distribution tree"))
-    print(f"asserts: {asserts}  prunes: {prunes}")
-
-
-def _fig2(args: argparse.Namespace) -> None:
-    sc = PaperScenario(_scenario_config(args, LOCAL_MEMBERSHIP))
-    sc.converge()
-    sc.move("R3", "L6", at=40.0)
-    sc.run_until(40.0 + 260.0 + 30.0)
-    sc.finish()
+def _fig2(sc: PaperScenario):
     join, leave = sc.join_delay("R3", 40.0), sc.leave_delay("L4", 40.0)
-    if args.json:
-        _print_json(
-            {
-                "experiment": "fig2",
-                "seed": args.seed,
-                "tree": sc.current_tree(),
-                "join_delay": join,
-                "leave_delay": leave,
-                "leave_delay_bound": 260.0,
-            }
-        )
-        return
-    print(render_figure(sc.current_tree(), "L1", ROUTER_LINKS,
-                        title="Figure 2 — after R3 moved Link4->Link6"))
-    print(f"join delay:  {fmt_seconds(join)}")
-    print(f"leave delay: {fmt_seconds(leave)} (bound 260 s)")
+    return (
+        {"join_delay": join, "leave_delay": leave, "leave_delay_bound": 260.0},
+        None,
+        [f"join delay:  {fmt_seconds(join)}",
+         f"leave delay: {fmt_seconds(leave)} (bound 260 s)"],
+    )
 
 
-def _fig3(args: argparse.Namespace) -> None:
-    sc = PaperScenario(_scenario_config(args, BIDIRECTIONAL_TUNNEL))
-    sc.converge()
-    sc.move("R3", "L1", at=40.0)
-    sc.run_until(90.0)
-    sc.finish()
+def _fig3(sc: PaperScenario):
     d = sc.paper.router("D")
     groups = [str(g) for g in d.groups_on_behalf()]
-    if args.json:
-        _print_json(
-            {
-                "experiment": "fig3",
-                "seed": args.seed,
-                "tree": sc.current_tree(),
-                "tunneled_datagrams": d.tunneled_to_mobiles,
-                "groups_on_behalf": groups,
-            }
-        )
-        return
-    print(render_figure(
-        sc.current_tree(), "L1", ROUTER_LINKS,
-        tunnels=[("Router D", f"R3 @ {sc.paper.host('R3').care_of_address}",
-                  "HA->MH multicast tunnel")],
-        title="Figure 3 — R3 via home-agent tunnel",
-    ))
-    print(f"tunneled datagrams: {d.tunneled_to_mobiles}  "
-          f"on-behalf groups: {groups}")
+    return (
+        {"tunneled_datagrams": d.tunneled_to_mobiles, "groups_on_behalf": groups},
+        [("Router D", f"R3 @ {sc.paper.host('R3').care_of_address}",
+          "HA->MH multicast tunnel")],
+        [f"tunneled datagrams: {d.tunneled_to_mobiles}  "
+         f"on-behalf groups: {groups}"],
+    )
 
 
-def _fig4(args: argparse.Namespace) -> None:
-    sc = PaperScenario(_scenario_config(args, BIDIRECTIONAL_TUNNEL))
-    sc.converge()
-    sc.move("S", "L6", at=40.0)
-    sc.run_until(100.0)
-    sc.finish()
+def _fig4(sc: PaperScenario):
     reverse_tunneled = sc.paper.router("A").reverse_tunneled
+    return (
+        {"reverse_tunneled": reverse_tunneled},
+        [(f"S @ {sc.paper.sender.care_of_address}", "Router A",
+          "MH->HA multicast tunnel")],
+        [f"reverse-tunneled: {reverse_tunneled}"],
+    )
+
+
+#: figure -> (title, result): ``result(sc)`` gives the JSON fields, the
+#: tunnels drawn beside the tree, and the text lines under it
+_FIGURES = {
+    "fig1": ("Figure 1 — initial distribution tree", _fig1),
+    "fig2": ("Figure 2 — after R3 moved Link4->Link6", _fig2),
+    "fig3": ("Figure 3 — R3 via home-agent tunnel", _fig3),
+    "fig4": ("Figure 4 — S via reverse tunnel (tree unchanged)", _fig4),
+}
+
+
+def _figure(args: argparse.Namespace) -> None:
+    """fig1-fig4: play the canned Figure run, print its tree and numbers."""
+    recipe = CANNED_RUNS[args.command]
+    sc = PaperScenario(
+        ScenarioConfig(seed=args.seed, approach=recipe.approach, **_traffic(args))
+    )
+    recipe.play(sc)
+    sc.finish()
+    title, result = _FIGURES[args.command]
+    fields, tunnels, lines = result(sc)
+    tree = sc.current_tree()
     if args.json:
         _print_json(
             {
-                "experiment": "fig4",
+                "experiment": args.command,
                 "seed": args.seed,
-                "tree": sc.current_tree(),
-                "reverse_tunneled": reverse_tunneled,
+                "tree": tree,
+                **fields,
             }
         )
         return
-    print(render_figure(
-        sc.current_tree(), "L1", ROUTER_LINKS,
-        tunnels=[(f"S @ {sc.paper.sender.care_of_address}", "Router A",
-                  "MH->HA multicast tunnel")],
-        title="Figure 4 — S via reverse tunnel (tree unchanged)",
-    ))
-    print(f"reverse-tunneled: {reverse_tunneled}")
+    print(render_figure(tree, "L1", ROUTER_LINKS, tunnels=tunnels, title=title))
+    print("\n".join(lines))
 
 
 def _table1(args: argparse.Namespace) -> None:
@@ -235,57 +208,6 @@ def _table1(args: argparse.Namespace) -> None:
     print(render_table1())
 
 
-def _compare(args: argparse.Namespace) -> None:
-    report = run_full_comparison(
-        seed=args.seed,
-        traffic_model=getattr(args, "traffic_model", "packet"),
-        probe_interval=getattr(args, "probe_interval", None),
-    )
-    if args.json:
-        _print_json(
-            {
-                "experiment": "compare",
-                "seed": args.seed,
-                "all_claims_hold": report.all_claims_hold,
-                "receiver_rows": report.receiver_rows,
-                "join_study_rows": report.join_study_rows,
-                "sender_rows": report.sender_rows,
-                "claims": [
-                    {"claim": text, "holds": ok, "detail": detail}
-                    for text, ok, detail in report.claims
-                ],
-            }
-        )
-    else:
-        print(report.render())
-    sys.exit(0 if report.all_claims_hold else 1)
-
-
-def _timers(args: argparse.Namespace) -> None:
-    if args.repeats < 1:
-        raise SystemExit(f"error: --repeats must be >= 1, got {args.repeats}")
-    points = run_timer_sweep(
-        query_intervals=tuple(args.intervals),
-        seeds=tuple(range(args.repeats)),
-    )
-    if args.json:
-        _print_json(
-            {
-                "experiment": "timers",
-                "points": [
-                    {
-                        **asdict(p),
-                        "mean_join_delay": p.mean_join_delay,
-                        "mean_leave_delay": p.mean_leave_delay,
-                    }
-                    for p in points
-                ],
-            }
-        )
-        return
-    print(render_sweep(points))
-
-
 def _report(args: argparse.Namespace) -> None:
     text = generate_report(seed=args.seed)
     if args.output:
@@ -296,25 +218,8 @@ def _report(args: argparse.Namespace) -> None:
         print(text)
 
 
-def _scaling(args: argparse.Namespace) -> None:
-    traffic = dict(
-        traffic_model=getattr(args, "traffic_model", "packet"),
-        probe_interval=getattr(args, "probe_interval", None),
-    )
-    mobiles = run_ha_load_vs_mobiles(counts=(1, 2, 4, 8), **traffic)
-    groups = run_ha_load_vs_groups(counts=(1, 2, 4), **traffic)
-    if args.json:
-        _print_json(
-            {"experiment": "scaling", "mobiles": mobiles, "groups": groups}
-        )
-        return
-    print(render_scaling(mobiles, "mobiles"))
-    print()
-    print(render_scaling(groups, "groups"))
-
-
 # ----------------------------------------------------------------------
-# campaign sweeps (docs/CAMPAIGNS.md)
+# campaign commands: sweep, faults, spans (docs/CAMPAIGNS.md)
 # ----------------------------------------------------------------------
 
 def _campaign_runner(args: argparse.Namespace, registry) -> CampaignRunner:
@@ -399,9 +304,181 @@ def _parse_scale_sizes(model: str, tokens) -> Optional[list]:
     return sizes
 
 
+def _campaign(
+    args: argparse.Namespace, header: Dict[str, Any], body
+) -> Dict[str, Any]:
+    """Run one campaign command and print its result.
+
+    ``body(runner, registry)`` runs the cells and returns the payload
+    fields and the text sections.  JSON mode prints the payload; text
+    mode prints the sections, the campaign footer and, with
+    ``--metrics``, the registry.  Returns the payload fields.
+    """
+    registry = MetricsRegistry()
+    runner = _campaign_runner(args, registry)
+    fields, sections = body(runner, registry)
+    stats = runner.stats()
+    if args.json:
+        _print_json(
+            {
+                **header,
+                "seed": args.seed,
+                "jobs": args.jobs,
+                "cache_dir": args.cache_dir,
+                **fields,
+                "campaign": stats,
+            }
+        )
+        return fields
+    print("\n\n".join(sections))
+    print(
+        f"\ncampaign: {stats['cells']} cells, {stats['executed']} executed, "
+        f"{stats['cached']} cached, {stats['failed']} failed, "
+        f"{stats['retries']} retries, jobs={stats['jobs']}, "
+        f"wall {stats['wall_clock']:.1f}s"
+    )
+    if args.metrics:
+        print(registry.render_prometheus(), end="")
+    return fields
+
+
+def _approaches(args: argparse.Namespace) -> tuple:
+    """The ``--approaches`` keys as approaches, once ``--approaches`` and
+    ``--loss`` have been range-checked (faults and spans share both)."""
+    by_key = {a.key: a for a in ALL_APPROACHES}
+    unknown = [k for k in args.approaches if k not in by_key]
+    if unknown:
+        raise SystemExit(
+            f"error: unknown approach(es) {', '.join(unknown)}; "
+            f"known: {', '.join(by_key)}"
+        )
+    for rate in args.loss:
+        if not 0.0 <= rate < 1.0:
+            raise SystemExit(f"error: --loss rates must be in [0, 1), got {rate}")
+    return tuple(by_key[k] for k in args.approaches)
+
+
+# ----------------------------------------------------------------------
+# experiment grids: each returns (payload fields, text sections)
+# ----------------------------------------------------------------------
+
+def _compare_grid(args: argparse.Namespace, runner):
+    report = run_full_comparison(seed=args.seed, runner=runner, **_traffic(args))
+    fields = {
+        "seed": args.seed,
+        "all_claims_hold": report.all_claims_hold,
+        "receiver_rows": report.receiver_rows,
+        "join_study_rows": report.join_study_rows,
+        "sender_rows": report.sender_rows,
+        "claims": [
+            {"claim": text, "holds": ok, "detail": detail}
+            for text, ok, detail in report.claims
+        ],
+    }
+    return fields, [report.render()]
+
+
+def _timers_grid(args: argparse.Namespace, runner):
+    points = run_timer_sweep(
+        query_intervals=tuple(args.intervals),
+        seeds=tuple(range(args.repeats)),
+        runner=runner,
+    )
+    fields = {
+        "points": [
+            {
+                **asdict(p),
+                "mean_join_delay": p.mean_join_delay,
+                "mean_leave_delay": p.mean_leave_delay,
+            }
+            for p in points
+        ]
+    }
+    return fields, [render_sweep(points)]
+
+
+def _scaling_grid(args: argparse.Namespace, runner):
+    common = dict(seed=args.seed, runner=runner, **_traffic(args))
+    mobiles = run_ha_load_vs_mobiles(counts=(1, 2, 4, 8), **common)
+    groups = run_ha_load_vs_groups(counts=(1, 2, 4), **common)
+    rate = run_ha_load_vs_rate(packet_intervals=(0.2, 0.1, 0.05), **common)
+    return {"mobiles": mobiles, "groups": groups, "rate": rate}, [
+        render_scaling(mobiles, "mobiles"),
+        render_scaling(groups, "groups"),
+        render_scaling(rate, "packets_per_s"),
+    ]
+
+
+def _scale_grid(args: argparse.Namespace, runner):
+    report = run_scale_sweep(
+        sizes=_parse_scale_sizes(args.topo_model, args.sizes),
+        receivers=tuple(args.receivers),
+        groups=tuple(args.groups),
+        mobility=tuple(args.mobility),
+        model=args.topo_model,
+        seed=args.seed,
+        duration=args.duration,
+        runner=runner,
+        **_traffic(args),
+    )
+    return {"report": report}, [render_scale_report(report)]
+
+
+def _fluid_grid(args: argparse.Namespace, runner):
+    # EXP-S2 runs both engines itself; cells are sequential (the
+    # packet 10^4 cell dominates) so no campaign sharding here.
+    study = run_fluid_study(
+        sizes=_parse_scale_sizes("hier", args.sizes),
+        receivers=tuple(args.receivers),
+        seed=args.seed,
+        duration=args.duration,
+        mobility=args.mobility[0] if args.mobility else 0.0,
+        **(
+            {"probe_interval": args.probe_interval}
+            if args.probe_interval is not None
+            else {}
+        ),
+    )
+    return {"report": study}, [render_fluid_report(study)]
+
+
+def _chaos_grid(args: argparse.Namespace, runner):
+    from .chaos import render_chaos_report, run_chaos_sweep
+
+    report = run_chaos_sweep(
+        seed=args.seed,
+        traffic_models=(args.traffic_model,),
+        probe_interval=args.probe_interval,
+        runner=runner,
+    )
+    return {"report": report}, [render_chaos_report(report)]
+
+
+#: ``sweep <grid>`` runs these through the campaign runner; the
+#: ``compare``, ``timers`` and ``scaling`` commands run them uncached
+GRIDS = {
+    "compare": _compare_grid,
+    "timers": _timers_grid,
+    "scaling": _scaling_grid,
+    "scale": _scale_grid,
+    "fluid": _fluid_grid,
+    "chaos": _chaos_grid,
+}
+
+
+def _grid_command(args: argparse.Namespace) -> None:
+    """``compare``, ``timers``, ``scaling``: the grid of that name run
+    uncached, under its own experiment name, without a campaign footer."""
+    fields, sections = GRIDS[args.command](args, None)
+    if args.json:
+        _print_json({"experiment": args.command, **fields})
+    else:
+        print("\n\n".join(sections))
+    if not fields.get("all_claims_hold", True):
+        sys.exit(1)  # a §4.3 paper claim failed
+
+
 def _sweep(args: argparse.Namespace) -> None:
-    if args.repeats < 1:
-        raise SystemExit(f"error: --repeats must be >= 1, got {args.repeats}")
     if min(args.receivers) < 1:
         raise SystemExit(
             f"error: --receivers must be >= 1, got {min(args.receivers)}"
@@ -416,129 +493,13 @@ def _sweep(args: argparse.Namespace) -> None:
         raise SystemExit(
             f"error: --duration must be positive, got {args.duration}"
         )
-    registry = MetricsRegistry()
-    runner = _campaign_runner(args, registry)
-    payload: Dict[str, Any] = {
-        "experiment": "sweep",
-        "grid": args.grid,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "cache_dir": args.cache_dir,
-    }
-    sections = []
-
-    traffic_model = getattr(args, "traffic_model", "packet")
-    probe_interval = getattr(args, "probe_interval", None)
-    if args.grid == "compare":
-        report = run_full_comparison(
-            seed=args.seed,
-            runner=runner,
-            traffic_model=traffic_model,
-            probe_interval=probe_interval,
-        )
-        payload.update(
-            {
-                "all_claims_hold": report.all_claims_hold,
-                "receiver_rows": report.receiver_rows,
-                "join_study_rows": report.join_study_rows,
-                "sender_rows": report.sender_rows,
-                "claims": [
-                    {"claim": text, "holds": ok, "detail": detail}
-                    for text, ok, detail in report.claims
-                ],
-            }
-        )
-        sections.append(report.render())
-    elif args.grid == "timers":
-        points = run_timer_sweep(
-            query_intervals=tuple(args.intervals),
-            seeds=tuple(range(args.repeats)),
-            runner=runner,
-        )
-        payload["points"] = [
-            {
-                **asdict(p),
-                "mean_join_delay": p.mean_join_delay,
-                "mean_leave_delay": p.mean_leave_delay,
-            }
-            for p in points
-        ]
-        sections.append(render_sweep(points))
-    elif args.grid == "scale":
-        report = run_scale_sweep(
-            sizes=_parse_scale_sizes(args.topo_model, args.sizes),
-            receivers=tuple(args.receivers),
-            groups=tuple(args.groups),
-            mobility=tuple(args.mobility),
-            model=args.topo_model,
-            seed=args.seed,
-            duration=args.duration,
-            traffic_model=traffic_model,
-            probe_interval=probe_interval,
-            runner=runner,
-        )
-        payload["report"] = report
-        sections.append(render_scale_report(report))
-    elif args.grid == "fluid":
-        # EXP-S2 runs both engines itself; cells are sequential (the
-        # packet 10^4 cell dominates) so no campaign sharding here.
-        study = run_fluid_study(
-            sizes=_parse_scale_sizes("hier", args.sizes),
-            receivers=tuple(args.receivers),
-            seed=args.seed,
-            duration=args.duration,
-            mobility=args.mobility[0] if args.mobility else 0.0,
-            **(
-                {"probe_interval": probe_interval}
-                if probe_interval is not None
-                else {}
-            ),
-        )
-        payload["report"] = study
-        sections.append(render_fluid_report(study))
-    elif args.grid == "chaos":
-        from .chaos import render_chaos_report, run_chaos_sweep
-
-        report = run_chaos_sweep(
-            seed=args.seed,
-            traffic_models=(traffic_model,),
-            probe_interval=probe_interval,
-            runner=runner,
-        )
-        payload["report"] = report
-        sections.append(render_chaos_report(report))
-    else:  # scaling
-        mobiles = run_ha_load_vs_mobiles(counts=(1, 2, 4, 8), seed=args.seed,
-                                         runner=runner,
-                                         traffic_model=traffic_model,
-                                         probe_interval=probe_interval)
-        groups = run_ha_load_vs_groups(counts=(1, 2, 4), seed=args.seed,
-                                       runner=runner,
-                                       traffic_model=traffic_model,
-                                       probe_interval=probe_interval)
-        rate = run_ha_load_vs_rate(packet_intervals=(0.2, 0.1, 0.05),
-                                   seed=args.seed, runner=runner,
-                                   traffic_model=traffic_model,
-                                   probe_interval=probe_interval)
-        payload.update({"mobiles": mobiles, "groups": groups, "rate": rate})
-        sections.append(render_scaling(mobiles, "mobiles"))
-        sections.append(render_scaling(groups, "groups"))
-        sections.append(render_scaling(rate, "packets_per_s"))
-
-    stats = runner.stats()
-    payload["campaign"] = stats
-    if args.json:
-        _print_json(payload)
-        return
-    print("\n\n".join(sections))
-    print(
-        f"\ncampaign: {stats['cells']} cells, {stats['executed']} executed, "
-        f"{stats['cached']} cached, {stats['failed']} failed, "
-        f"{stats['retries']} retries, jobs={stats['jobs']}, "
-        f"wall {stats['wall_clock']:.1f}s"
+    fields = _campaign(
+        args,
+        {"experiment": "sweep", "grid": args.grid},
+        lambda runner, registry: GRIDS[args.grid](args, runner),
     )
-    if args.metrics:
-        print(registry.render_prometheus(), end="")
+    if not fields.get("all_claims_hold", True):
+        sys.exit(1)  # a §4.3 paper claim failed
 
 
 def _faults(args: argparse.Namespace) -> None:
@@ -550,75 +511,45 @@ def _faults(args: argparse.Namespace) -> None:
     )
     from .faults.resilience import publish_resilience
 
-    by_key = {a.key: a for a in ALL_APPROACHES}
-    unknown = [k for k in args.approaches if k not in by_key]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown approach(es) {', '.join(unknown)}; "
-            f"known: {', '.join(by_key)}"
-        )
-    approaches = tuple(by_key[k] for k in args.approaches)
-    for rate in args.loss:
-        if not 0.0 <= rate < 1.0:
-            raise SystemExit(f"error: --loss rates must be in [0, 1), got {rate}")
+    approaches = _approaches(args)
 
-    registry = MetricsRegistry()
-    runner = _campaign_runner(args, registry)
-    payload: Dict[str, Any] = {
-        "experiment": "faults",
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "cache_dir": args.cache_dir,
-    }
-    sections = []
-    rows = []
-    if args.scenario in ("loss", "both"):
-        loss_rows = run_fault_sweep(
-            loss_rates=tuple(args.loss),
-            approaches=approaches,
-            seed=args.seed,
-            model=args.model,
-            runner=runner,
-        )
-        payload["loss_rows"] = loss_rows
-        rows += loss_rows
-        sections.append(render_fault_table(loss_rows))
-    if args.scenario in ("ha-crash", "both"):
-        crash_rows = run_crash_study(
-            approaches=approaches, seed=args.seed, runner=runner
-        )
-        payload["crash_rows"] = crash_rows
-        rows += crash_rows
-        sections.append(render_crash_table(crash_rows))
+    def body(runner, registry):
+        fields: Dict[str, Any] = {}
+        sections, rows = [], []
+        if args.scenario in ("loss", "both"):
+            loss_rows = run_fault_sweep(
+                loss_rates=tuple(args.loss),
+                approaches=approaches,
+                seed=args.seed,
+                model=args.model,
+                runner=runner,
+            )
+            fields["loss_rows"] = loss_rows
+            rows += loss_rows
+            sections.append(render_fault_table(loss_rows))
+        if args.scenario in ("ha-crash", "both"):
+            crash_rows = run_crash_study(
+                approaches=approaches, seed=args.seed, runner=runner
+            )
+            fields["crash_rows"] = crash_rows
+            rows += crash_rows
+            sections.append(render_crash_table(crash_rows))
+        publish_resilience(registry, rows)
+        return fields, sections
 
-    publish_resilience(registry, rows)
-    stats = runner.stats()
-    payload["campaign"] = stats
-    if args.json:
-        _print_json(payload)
-        return
-    print("\n\n".join(sections))
-    print(
-        f"\ncampaign: {stats['cells']} cells, {stats['executed']} executed, "
-        f"{stats['cached']} cached, {stats['failed']} failed, "
-        f"{stats['retries']} retries, jobs={stats['jobs']}, "
-        f"wall {stats['wall_clock']:.1f}s"
-    )
-    if args.metrics:
-        print(registry.render_prometheus(), end="")
+    _campaign(args, {"experiment": "faults", "scenario": args.scenario}, body)
 
 
 # ----------------------------------------------------------------------
 # observability commands
 # ----------------------------------------------------------------------
 
-#: The canned trace scenario: the Figure 2 receiver move, run long
-#: enough to observe both the join and the leave (bounded by T_MLI).
-_TRACE_MOVE_AT = 40.0
-_TRACE_RECEIVER = "R3"
+#: The canned trace scenario is the Figure 2 receiver move, whose
+#: horizon covers both the join and the leave (bounded by T_MLI).
+_TRACE_RUN = CANNED_RUNS["fig2"]
+_TRACE_RECEIVER, _TRACE_NEW_LINK = _TRACE_RUN.move
+_TRACE_MOVE_AT = _TRACE_RUN.move_at
 _TRACE_OLD_LINK = "L4"
-_TRACE_NEW_LINK = "L6"
 
 
 def _render_summary(summary: Dict[str, Any], source: str) -> str:
@@ -748,16 +679,16 @@ def _trace(args: argparse.Namespace) -> None:
             print(_render_summary(summary, f"offline: {args.import_path}"))
         return
 
-    sc = PaperScenario(ScenarioConfig(seed=args.seed, approach=LOCAL_MEMBERSHIP))
+    sc = PaperScenario(
+        ScenarioConfig(seed=args.seed, approach=_TRACE_RUN.approach)
+    )
     if args.capacity is not None:
         sc.net.tracer.set_capacity(args.capacity)
     registry = MetricsRegistry()
     TraceCollector(registry).attach(sc.net.tracer)
     sc.converge()
     before = sc.metrics.snapshot()
-    sc.move(_TRACE_RECEIVER, _TRACE_NEW_LINK, at=_TRACE_MOVE_AT)
-    t_mli = (sc.config.mld or MldConfig()).multicast_listener_interval
-    sc.run_until(_TRACE_MOVE_AT + t_mli + 30.0)
+    _TRACE_RUN.play(sc)
     sc.finish()
     snapshots = [before, sc.metrics.snapshot()]
 
@@ -822,18 +753,7 @@ def _spans(args: argparse.Namespace) -> None:
     from .analysis.phases import render_phase_table, run_span_breakdown
     from .obs.spans import SpanRecorder, find_span, write_chrome_trace
 
-    by_key = {a.key: a for a in ALL_APPROACHES}
-    unknown = [k for k in args.approaches if k not in by_key]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown approach(es) {', '.join(unknown)}; "
-            f"known: {', '.join(by_key)}"
-        )
-    approaches = tuple(by_key[k] for k in args.approaches)
-    for rate in args.loss:
-        if not 0.0 <= rate < 1.0:
-            raise SystemExit(f"error: --loss rates must be in [0, 1), got {rate}")
-
+    approaches = _approaches(args)
     if args.export or args.handover:
         # drill-down mode: one live span-recorded receiver move
         approach = approaches[0]
@@ -894,38 +814,23 @@ def _spans(args: argparse.Namespace) -> None:
             print(registry.render_prometheus(), end="")
         return
 
-    registry = MetricsRegistry()
-    runner = _campaign_runner(args, registry)
-    rows = run_span_breakdown(
-        approaches=approaches,
-        loss_rates=tuple(args.loss),
-        seed=args.seed,
-        runner=runner,
-    )
-    stats = runner.stats()
-    if args.json:
-        _print_json(
-            {
-                "experiment": "spans",
-                "seed": args.seed,
-                "rows": rows,
-                "campaign": stats,
-            }
+    def body(runner, registry):
+        rows = run_span_breakdown(
+            approaches=approaches,
+            loss_rates=tuple(args.loss),
+            seed=args.seed,
+            runner=runner,
         )
-        return
-    print(render_phase_table(rows))
-    broken = [r for r in rows if not r["equivalent"]]
-    if broken:
-        print(
-            "WARNING: span-derived numbers diverge from the event-level "
-            f"computation for: {', '.join(r['approach'] for r in broken)}"
-        )
-    print(
-        f"\ncampaign: {stats['cells']} cells, {stats['executed']} executed, "
-        f"{stats['cached']} cached, {stats['failed']} failed, "
-        f"{stats['retries']} retries, jobs={stats['jobs']}, "
-        f"wall {stats['wall_clock']:.1f}s"
-    )
+        text = render_phase_table(rows)
+        broken = [r["approach"] for r in rows if not r["equivalent"]]
+        if broken:
+            text += (
+                "\nWARNING: span-derived numbers diverge from the event-level "
+                f"computation for: {', '.join(broken)}"
+            )
+        return {"rows": rows}, [text]
+
+    _campaign(args, {"experiment": "spans"}, body)
 
 
 def _bench(args: argparse.Namespace) -> None:
@@ -953,10 +858,7 @@ def _profile(args: argparse.Namespace) -> None:
     recipe = CANNED_RUNS[args.experiment]
     sc = PaperScenario(ScenarioConfig(seed=args.seed, approach=recipe.approach))
     profiler = KernelProfiler().install(sc.net.sim)
-    sc.converge()
-    if recipe.move is not None:
-        sc.move(recipe.move[0], recipe.move[1], at=recipe.move_at)
-        sc.run_until(recipe.run_until)
+    recipe.play(sc)
     sc.finish()
     if args.json:
         _print_json(
@@ -1023,14 +925,9 @@ def _topo(args: argparse.Namespace) -> None:
 
 
 COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
+    **dict.fromkeys(_FIGURES, _figure),
     "table1": _table1,
-    "compare": _compare,
-    "timers": _timers,
-    "scaling": _scaling,
+    **dict.fromkeys(("compare", "timers", "scaling"), _grid_command),
     "sweep": _sweep,
     "faults": _faults,
     "report": _report,
@@ -1042,98 +939,97 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
 }
 
 
-def _add_invariants_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--check-invariants", action="store_true",
-        help="attach the runtime protocol invariant oracles "
-        "(repro.invariants) and fail on any violation; propagates to "
-        "campaign worker processes (see docs/ROBUSTNESS.md)",
-    )
-
-
-def _add_traffic_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--traffic-model", choices=("packet", "fluid"), default="packet",
-        help="traffic engine: per-packet events (exact, default) or "
-        "fluid rate integration with sparse probes (scales to "
-        "million-receiver runs; see docs/TRAFFIC.md)",
-    )
-    p.add_argument(
-        "--probe-interval", type=float, default=None, metavar="SECONDS",
-        help="fluid-mode probe cadence (default: 100 x packet interval)",
-    )
-
-
-def _add_supervisor_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell wall-clock budget; hung cells are killed "
-                   "and retried (jobs >= 2)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="extra attempts per failing cell before it is "
-                   "quarantined (default: 1)")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="append every executed cell to this JSONL journal")
-    p.add_argument("--resume", action="store_true",
-                   help="replay completed cells from the --checkpoint "
-                   "journal instead of re-running them")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce experiments from 'Interoperation of Mobile "
         "IPv6 and PIM Dense Mode' (ICPP 2000).",
     )
+    # flag groups shared through ``parents=``: each is declared once
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="scenario seed; campaign commands derive every "
+                      "cell's seed from it (default: 0)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true",
+                         help="emit machine-readable JSON instead of text")
+    invariants = argparse.ArgumentParser(add_help=False)
+    invariants.add_argument(
+        "--check-invariants", action="store_true",
+        help="attach the runtime protocol invariant oracles "
+        "(repro.invariants) and fail on any violation; propagates to "
+        "campaign worker processes (see docs/ROBUSTNESS.md)",
+    )
+    traffic = argparse.ArgumentParser(add_help=False)
+    traffic.add_argument(
+        "--traffic-model", choices=("packet", "fluid"), default="packet",
+        help="traffic engine: per-packet events (exact, default) or "
+        "fluid rate integration with sparse probes (scales to "
+        "million-receiver runs; see docs/TRAFFIC.md)",
+    )
+    traffic.add_argument(
+        "--probe-interval", type=float, default=None, metavar="SECONDS",
+        help="fluid-mode probe cadence (default: 100 x packet interval)",
+    )
+    timer_grid = argparse.ArgumentParser(add_help=False)
+    timer_grid.add_argument("--intervals", type=float, nargs="+",
+                            default=[10.0, 25.0, 60.0, 125.0],
+                            help="T_Query grid for the timers sweep")
+    timer_grid.add_argument("--repeats", type=int, default=3,
+                            help="seeds per timer point")
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("--jobs", type=int, default=1,
+                          help="worker processes to shard cells across")
+    campaign.add_argument("--cache-dir", default=None, metavar="DIR",
+                          help="cache completed cells here; re-runs only "
+                          "execute changed cells")
+    campaign.add_argument("--metrics", action="store_true",
+                          help="also print the campaign's metrics "
+                          "(Prometheus text)")
+    campaign.add_argument("--timeout", type=float, default=None,
+                          metavar="SECONDS",
+                          help="per-cell wall-clock budget; hung cells are "
+                          "killed and retried (jobs >= 2)")
+    campaign.add_argument("--retries", type=int, default=1,
+                          help="extra attempts per failing cell before it is "
+                          "quarantined (default: 1)")
+    campaign.add_argument("--checkpoint", default=None, metavar="PATH",
+                          help="append every executed cell to this JSONL "
+                          "journal")
+    campaign.add_argument("--resume", action="store_true",
+                          help="replay completed cells from the --checkpoint "
+                          "journal instead of re-running them")
+    run = [seed, as_json, invariants]
+
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
-    for name, help_text in (
-        ("fig1", "Figure 1: initial distribution tree"),
-        ("fig2", "Figure 2: mobile receiver, local membership"),
-        ("fig3", "Figure 3: mobile receiver via HA tunnel"),
-        ("fig4", "Figure 4: mobile sender via HA tunnel"),
-        ("table1", "Table 1: the four approaches"),
-        ("compare", "full §4.3 comparison with claim checks"),
-        ("scaling", "HA load scaling sweeps (§4.3.2)"),
+    for name, help_text, parents in (
+        ("fig1", "Figure 1: initial distribution tree", run + [traffic]),
+        ("fig2", "Figure 2: mobile receiver, local membership", run + [traffic]),
+        ("fig3", "Figure 3: mobile receiver via HA tunnel", run + [traffic]),
+        ("fig4", "Figure 4: mobile sender via HA tunnel", run + [traffic]),
+        ("table1", "Table 1: the four approaches", [as_json]),
+        ("compare", "full §4.3 comparison with claim checks "
+         "(the compare grid, uncached)", run + [traffic]),
+        ("scaling", "HA load scaling sweeps (§4.3.2; the scaling grid, "
+         "uncached)", run + [traffic]),
+        ("timers", "§4.4 MLD timer sweep (the timers grid, uncached)",
+         run + [timer_grid]),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON instead of text")
-        _add_invariants_flag(p)
-        if name != "table1":  # table1 runs no simulation
-            _add_traffic_flags(p)
-    report = sub.add_parser("report", help="run everything, emit a Markdown report")
-    report.add_argument("--seed", type=int, default=0)
+        sub.add_parser(name, help=help_text, parents=parents)
+    report = sub.add_parser("report", parents=[seed, invariants],
+                            help="run everything, emit a Markdown report")
     report.add_argument("--output", "-o", default=None)
-    _add_invariants_flag(report)
     sweep = sub.add_parser(
-        "sweep",
+        "sweep", parents=run + [traffic, timer_grid, campaign],
         help="run an experiment grid through the parallel campaign engine "
         "(sharding + result cache; see docs/CAMPAIGNS.md)",
     )
-    sweep.add_argument("grid",
-                       choices=("compare", "timers", "scaling", "scale",
-                                "fluid", "chaos"),
-                       nargs="?", default="compare",
+    sweep.add_argument("grid", choices=tuple(GRIDS), nargs="?",
+                       default="compare",
                        help="which experiment grid to run (default: compare; "
                        "'fluid' runs the EXP-S2 packet-vs-fluid study; "
                        "'chaos' runs the EXP-R3 nemesis/convergence study)")
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="campaign master seed")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes to shard cells across")
-    sweep.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache completed cells here; re-runs only "
-                       "execute changed cells")
-    sweep.add_argument("--intervals", type=float, nargs="+",
-                       default=[10.0, 25.0, 60.0, 125.0],
-                       help="T_Query grid for the timers sweep")
-    sweep.add_argument("--repeats", type=int, default=3,
-                       help="seeds per timer point")
-    sweep.add_argument("--metrics", action="store_true",
-                       help="also print campaign metrics (Prometheus text)")
-    sweep.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON instead of text")
     sweep.add_argument("--topo-model", choices=("hier", "fattree", "waxman"),
                        default="hier",
                        help="generator for the scale grid (default: hier)")
@@ -1150,11 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale-grid mean handovers per receiver")
     sweep.add_argument("--duration", type=float, default=30.0,
                        help="scale-grid measurement window (sim seconds)")
-    _add_traffic_flags(sweep)
-    _add_supervisor_flags(sweep)
-    _add_invariants_flag(sweep)
     faults = sub.add_parser(
-        "faults",
+        "faults", parents=run + [campaign],
         help="resilience under injected faults: loss sweeps and home-agent "
         "crashes through the campaign engine (see docs/FAULTS.md)",
     )
@@ -1172,20 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY",
                         help="delivery approaches to compare "
                         f"(default: {' '.join(a.key for a in ALL_APPROACHES)})")
-    faults.add_argument("--seed", type=int, default=0,
-                        help="campaign master seed")
-    faults.add_argument("--jobs", type=int, default=1,
-                        help="worker processes to shard cells across")
-    faults.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache completed cells here")
-    faults.add_argument("--metrics", action="store_true",
-                        help="also print resilience metrics (Prometheus text)")
-    faults.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON instead of text")
-    _add_supervisor_flags(faults)
-    _add_invariants_flag(faults)
     topo = sub.add_parser(
-        "topo",
+        "topo", parents=[seed, as_json],
         help="generate and describe a seeded topology (deterministic "
         "digest; see docs/TOPOLOGIES.md)",
     )
@@ -1205,23 +1086,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="waxman: edge-probability scale (default: 0.9)")
     topo.add_argument("--beta", type=float, default=0.25,
                       help="waxman: distance decay (default: 0.25)")
-    topo.add_argument("--seed", type=int, default=0,
-                      help="topology seed (same seed, same digest)")
-    topo.add_argument("--json", action="store_true",
-                      help="emit machine-readable JSON instead of text")
-    timers = sub.add_parser("timers", help="§4.4 MLD timer sweep")
-    timers.add_argument("--seed", type=int, default=0)
-    timers.add_argument("--intervals", type=float, nargs="+",
-                        default=[10.0, 25.0, 60.0, 125.0])
-    timers.add_argument("--repeats", type=int, default=3)
-    timers.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON instead of text")
-    _add_invariants_flag(timers)
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=run,
         help="run the receiver-move scenario, export/analyze its JSONL trace",
     )
-    trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--export", metavar="PATH", default=None,
                        help="persist the run (events + stats snapshots) as JSONL")
     trace.add_argument("--import", dest="import_path", metavar="PATH", default=None,
@@ -1241,11 +1109,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "--export")
     trace.add_argument("--metrics", action="store_true",
                        help="also print the metrics registry (Prometheus text)")
-    trace.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON instead of text")
-    _add_invariants_flag(trace)
     spans_p = sub.add_parser(
-        "spans",
+        "spans", parents=run + [campaign],
         help="causal handover spans: phase-attribution tables through the "
         "campaign engine, Chrome/Perfetto export, per-handover drill-down "
         "(see docs/OBSERVABILITY.md)",
@@ -1258,12 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     spans_p.add_argument("--loss", type=float, nargs="+", default=[0.0],
                          help="loss rates for the breakdown grid "
                          "(default: 0.0 — the plain §4.3 pipeline)")
-    spans_p.add_argument("--seed", type=int, default=0,
-                         help="scenario / campaign master seed")
-    spans_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes to shard cells across")
-    spans_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache completed cells here")
     spans_p.add_argument("--export", metavar="PATH", default=None,
                          help="run the receiver-move scenario live and write "
                          "its span forest as Chrome trace-event JSON "
@@ -1271,15 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
     spans_p.add_argument("--handover", metavar="SPAN_ID", default=None,
                          help="drill into one handover: print its span tree "
                          "('list' enumerates handover span ids)")
-    spans_p.add_argument("--metrics", action="store_true",
-                         help="also print repro_span_duration_seconds "
-                         "histograms (Prometheus text)")
-    spans_p.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON instead of text")
-    _add_supervisor_flags(spans_p)
-    _add_invariants_flag(spans_p)
     bench = sub.add_parser(
-        "bench",
+        "bench", parents=[as_json],
         help="kernel/campaign macro-benchmarks -> BENCH_KERNEL.json "
         "(see docs/PERFORMANCE.md)",
     )
@@ -1299,18 +1151,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "against --baseline (default: 0.2)")
     bench.add_argument("--scale", type=float, default=1.0,
                        help="multiply phase event counts (testing aid)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full report JSON instead of the "
-                       "summary table")
-    profile = sub.add_parser("profile", help="kernel hotspot profile of one experiment")
+    profile = sub.add_parser("profile", parents=run,
+                             help="kernel hotspot profile of one experiment")
     profile.add_argument("experiment", choices=sorted(CANNED_RUNS), nargs="?",
                          default="fig2")
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--top", type=int, default=10,
                          help="number of hotspot labels to show")
-    profile.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON instead of text")
-    _add_invariants_flag(profile)
     return parser
 
 
@@ -1320,16 +1166,18 @@ def main(argv=None) -> None:
     if args.command in (None, "list"):
         print("experiments:", ", ".join(COMMANDS))
         return
-    probe_interval = getattr(args, "probe_interval", None)
-    if probe_interval is not None and not (
-        math.isfinite(probe_interval) and probe_interval > 0
+    # range checks of the shared flag groups, once for every command
+    # that takes them (a campaign would otherwise fail every cell)
+    if "probe_interval" in args and args.probe_interval is not None and not (
+        math.isfinite(args.probe_interval) and args.probe_interval > 0
     ):
-        # checked once here: a campaign would otherwise fail every cell
         raise SystemExit(
             "error: --probe-interval must be a positive number, "
-            f"got {probe_interval:g}"
+            f"got {args.probe_interval:g}"
         )
-    if getattr(args, "check_invariants", False):
+    if "repeats" in args and args.repeats < 1:
+        raise SystemExit(f"error: --repeats must be >= 1, got {args.repeats}")
+    if "check_invariants" in args and args.check_invariants:
         # Environment, not a parameter: worker processes inherit it, so
         # every PaperScenario — local or in a campaign shard —
         # self-attaches an escalating InvariantMonitor.

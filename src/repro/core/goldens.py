@@ -1,9 +1,12 @@
 """Canned Figure 1-4 runs: the repository's reference scenarios.
 
 One place defines how each paper figure's scenario is executed, so the
-profiler CLI (``python -m repro profile fig2``), the golden-trace
-regression suite (``tests/goldens/``), and ad-hoc scripts all replay
-*exactly* the same simulation for a given (figure, seed) pair.
+figure, profiler and trace CLI commands, the Markdown report, the
+golden-trace regression suite (``tests/goldens/``), and ad-hoc scripts
+all replay *exactly* the same simulation for a given (figure, seed)
+pair.  :meth:`CannedRun.play` drives a scenario the caller built, so a
+caller can configure it (traffic engine, profiler, generated topology)
+first.
 """
 
 from __future__ import annotations
@@ -27,6 +30,16 @@ class CannedRun:
     move_at: Optional[float] = None
     run_until: Optional[float] = None
 
+    def play(self, sc: PaperScenario) -> PaperScenario:
+        """Drive a built scenario through this recipe: converge, then
+        the move and the run to the horizon, if any."""
+        sc.converge()
+        if self.move is not None:
+            host, link = self.move
+            sc.move(host, link, at=self.move_at)
+            sc.run_until(self.run_until)
+        return sc
+
 
 CANNED_RUNS: Dict[str, CannedRun] = {
     "fig1": CannedRun(LOCAL_MEMBERSHIP),
@@ -40,10 +53,6 @@ CANNED_RUNS: Dict[str, CannedRun] = {
 def run_canned(name: str, seed: int = 0) -> PaperScenario:
     """Execute one canned figure scenario to completion."""
     recipe = CANNED_RUNS[name]
-    sc = PaperScenario(ScenarioConfig(seed=seed, approach=recipe.approach))
-    sc.converge()
-    if recipe.move is not None:
-        host, link = recipe.move
-        sc.move(host, link, at=recipe.move_at)
-        sc.run_until(recipe.run_until)
-    return sc
+    return recipe.play(
+        PaperScenario(ScenarioConfig(seed=seed, approach=recipe.approach))
+    )

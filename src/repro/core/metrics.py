@@ -5,7 +5,7 @@ accounting — the protocol code is not instrumented ad hoc:
 
 * **join delay** — attachment of a mobile receiver to a link → first
   multicast delivery (paper §4.2.1-A); measured by
-  :class:`~repro.workloads.apps.ReceiverApp`, with the handoff start
+  :class:`~repro.traffic.apps.ReceiverApp`, with the handoff start
   available here,
 * **leave delay** — departure of the last member from a link → the MLD
   router detecting the absence and PIM-DM stopping forwarding
@@ -71,18 +71,13 @@ class ScenarioMetrics:
     scan over the whole event list.
     """
 
-    def __init__(self, net: Network, traffic=None) -> None:
+    def __init__(self, net: Network) -> None:
         self.net = net
-        #: optional :class:`repro.traffic.TrafficModel` — fluid mode
-        #: integrates analytically, so stats reads must sync first
-        self.traffic = traffic
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> StatsSnapshot:
-        if self.traffic is not None:
-            self.traffic.sync()
         return StatsSnapshot(time=self.net.now, data=self.net.stats.snapshot())
 
     # ------------------------------------------------------------------

@@ -20,10 +20,11 @@ from typing import Optional, Sequence
 from ..analysis import fmt_seconds, render_figure
 from ..mld import MldConfig
 from .comparison import run_full_comparison
+from .goldens import run_canned
 from .paper_topology import ROUTER_LINKS
 from .scaling import render_scaling, run_ha_load_vs_groups, run_ha_load_vs_mobiles
 from .scenario import PaperScenario, ScenarioConfig
-from .strategies import BIDIRECTIONAL_TUNNEL, LOCAL_MEMBERSHIP, render_table1
+from .strategies import BIDIRECTIONAL_TUNNEL, render_table1
 from .timer_optimization import render_sweep, run_timer_sweep
 
 __all__ = ["generate_report"]
@@ -55,8 +56,7 @@ def generate_report(
 
     # -- figures ---------------------------------------------------------
     _section(out, "Figure 1 — initial distribution tree")
-    fig1 = PaperScenario(ScenarioConfig(seed=seed, approach=LOCAL_MEMBERSHIP))
-    fig1.converge()
+    fig1 = run_canned("fig1", seed=seed)
     _code(out, render_figure(fig1.current_tree(), "L1", ROUTER_LINKS,
                              title="tree for (S on Link 1, G)"))
     out.write(
@@ -67,10 +67,7 @@ def generate_report(
     )
 
     _section(out, "Figure 2 — mobile receiver, local membership")
-    fig2 = PaperScenario(ScenarioConfig(seed=seed, approach=LOCAL_MEMBERSHIP))
-    fig2.converge()
-    fig2.move("R3", "L6", at=40.0)
-    fig2.run_until(40.0 + 260.0 + 30.0)
+    fig2 = run_canned("fig2", seed=seed)
     out.write(
         f"join delay {fmt_seconds(fig2.join_delay('R3', 40.0))}; "
         f"leave delay {fmt_seconds(fig2.leave_delay('L4', 40.0))} "

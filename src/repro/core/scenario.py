@@ -25,8 +25,7 @@ from ..mipv6 import MobileIpv6Config
 from ..mld import MldConfig
 from ..net import Address
 from ..pimdm import PimDmConfig
-from ..traffic import make_traffic_model
-from ..workloads import ReceiverApp
+from ..traffic import ReceiverApp, make_traffic_model
 from .metrics import ScenarioMetrics
 from .paper_topology import PaperNetwork, build_paper_network
 from .strategies import LOCAL_MEMBERSHIP, Approach
@@ -105,7 +104,7 @@ class PaperScenario:
             cfg.traffic_model, probe_interval=cfg.probe_interval
         )
         self.traffic.attach(self.net)
-        self.metrics = ScenarioMetrics(self.net, traffic=self.traffic)
+        self.metrics = ScenarioMetrics(self.net)
         self.apps: Dict[str, ReceiverApp] = {
             name: ReceiverApp(self.paper.hosts[name]) for name in ("R1", "R2", "R3")
         }

@@ -1,7 +1,7 @@
 """Resilience metrics: how the four approaches recover from faults.
 
 Computed from receiver-side instrumentation
-(:class:`~repro.workloads.apps.ReceiverApp`) and link accounting
+(:class:`~repro.traffic.apps.ReceiverApp`) and link accounting
 (:class:`~repro.net.stats.NetworkStats` — drop counters make delivery
 ratios computable without a tracer attached):
 

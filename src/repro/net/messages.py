@@ -2,7 +2,7 @@
 
 Every upper-layer payload in the simulation is a :class:`Message`.
 Concrete messages live with their protocol packages (:mod:`repro.mld`,
-:mod:`repro.pimdm`, :mod:`repro.mipv6`, :mod:`repro.workloads`); this
+:mod:`repro.pimdm`, :mod:`repro.mipv6`, :mod:`repro.traffic`); this
 module defines the common interface the packet / link / statistics
 layers rely on:
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from .packet import Ipv6Packet
 
@@ -193,6 +193,10 @@ class NetworkStats:
         #: recorded by ``Network.collect_state`` — the topology-wide
         #: memory proxy (peak RSS stand-in) for the scaling study
         self.state_entries: Dict[str, int] = {}
+        #: called before every snapshot or publish: a traffic model that
+        #: integrates lazily (fluid) registers its ``sync`` here, so a
+        #: read never sees counters that lag ``sim.now``
+        self.sync_hook: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # aggregate protocol-state accounting (memory proxy)
@@ -293,6 +297,8 @@ class NetworkStats:
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """Copy of all counters: link -> category -> bytes."""
+        if self.sync_hook is not None:
+            self.sync_hook()
         return {
             name: dict(stats.bytes_by_category)
             for name, stats in self._per_link.items()
@@ -306,6 +312,8 @@ class NetworkStats:
         the net layer keeps no dependency on :mod:`repro.obs`.
         Idempotent: republishing overwrites the gauge values.
         """
+        if self.sync_hook is not None:
+            self.sync_hook()
         bytes_gauge = registry.gauge(
             "repro_link_bytes",
             "Per-link bytes by traffic category",

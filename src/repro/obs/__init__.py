@@ -28,7 +28,6 @@ from .export import (
     event_record,
     export_run,
     import_run,
-    read_events,
     summarize_mobility,
 )
 from .profiler import KernelProfiler, ProfileEntry, profiled
@@ -87,7 +86,6 @@ __all__ = [
     "import_run",
     "iter_spans",
     "profiled",
-    "read_events",
     "spans_enabled",
     "spans_to_json",
     "summarize_mobility",

@@ -20,8 +20,7 @@ event      ``{"type": "event", "time": t, "category": c, "node": n,
 =========  ==========================================================
 
 The header is first; stats snapshots and events follow in time order.
-Lines without a ``type`` key are treated as events (the seed's
-:func:`repro.analysis.timeline.export_trace_json` format).
+Lines without a ``type`` key are treated as bare event records.
 
 Imports from ``repro.sim`` / ``repro.core`` are deferred to call time:
 ``repro.sim.trace`` itself imports :mod:`repro.obs.store`, and a
@@ -43,7 +42,6 @@ __all__ = [
     "event_record",
     "export_run",
     "import_run",
-    "read_events",
     "summarize_mobility",
 ]
 
@@ -124,11 +122,6 @@ def export_run(
             fh.write("\n")
             written += 1
     return written
-
-
-def read_events(path: str) -> List[Any]:
-    """Just the events from a JSONL trace (seed-format compatible)."""
-    return import_run(path).events
 
 
 def import_run(path: str) -> "TraceArchive":

@@ -72,9 +72,11 @@ class TrafficModel(ABC):
     def sync(self) -> None:
         """Bring byte accounting up to ``sim.now``.
 
-        Call before reading :class:`~repro.net.stats.NetworkStats` or
-        node load counters.  A no-op for the packet model, which
-        accounts on every transmission anyway.
+        Call before reading node load counters or single
+        :class:`~repro.net.stats.NetworkStats` counters; ``snapshot()``
+        and ``publish_to()`` call it through ``NetworkStats.sync_hook``.
+        A no-op for the packet model, which accounts on every
+        transmission anyway.
         """
 
     def finish(self) -> None:

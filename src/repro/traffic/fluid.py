@@ -293,6 +293,7 @@ class FluidModel(TrafficModel):
     def attach(self, net) -> None:
         self.net = net
         self._last_sync = net.sim.now
+        net.stats.sync_hook = self.sync
         net.tracer.add_listener(self._on_trace, categories=_LISTEN_CATEGORIES)
         for link in net.links.values():
             link.add_on_change(self._on_link_change)

@@ -1,14 +1,10 @@
-"""Unit tests for trace timelines and JSON export."""
+"""Unit tests for trace timelines and the JSONL trace round-trip."""
 
 import pytest
 
-from repro.analysis import (
-    export_trace_json,
-    handoff_timeline,
-    load_trace_json,
-    render_timeline,
-)
+from repro.analysis import handoff_timeline, render_timeline
 from repro.core import LOCAL_MEMBERSHIP, PaperScenario, ScenarioConfig
+from repro.obs import export_run, import_run
 from repro.sim import Simulator, TraceEvent, Tracer
 
 
@@ -53,9 +49,9 @@ class TestHandoffTimeline:
 class TestJsonExport:
     def test_roundtrip(self, moved, tmp_path):
         path = tmp_path / "trace.jsonl"
-        count = export_trace_json(moved.net.tracer, str(path))
+        count = export_run(str(path), moved.net.tracer)
         assert count == len(moved.net.tracer.events)
-        loaded = load_trace_json(str(path))
+        loaded = import_run(str(path)).events
         assert len(loaded) == count
         assert loaded[0].time == moved.net.tracer.events[0].time
         assert loaded[0].category == moved.net.tracer.events[0].category
@@ -65,7 +61,7 @@ class TestJsonExport:
         tracer = Tracer(sim)
         tracer.record("x", "n", links=["L1", "L2"], count=3, none=None)
         path = tmp_path / "t.jsonl"
-        export_trace_json(tracer, str(path))
-        (ev,) = load_trace_json(str(path))
+        export_run(str(path), tracer)
+        (ev,) = import_run(str(path)).events
         assert ev.detail["links"] == ["L1", "L2"]
         assert ev.detail["count"] == 3

@@ -11,6 +11,7 @@ Two promises every subcommand makes:
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,7 +39,7 @@ JSON_CONTRACTS = [
     (["table1", "--json"], {"experiment", "approaches"}),
     (["compare", "--json"], {"experiment", "receiver_rows", "sender_rows",
                              "claims", "all_claims_hold"}),
-    (["scaling", "--json"], {"experiment", "mobiles", "groups"}),
+    (["scaling", "--json"], {"experiment", "mobiles", "groups", "rate"}),
     (["timers", "--intervals", "10", "--repeats", "1", "--json"],
      {"experiment", "points"}),
     (["sweep", "timers", "--intervals", "10", "--repeats", "1", "--json"],
@@ -47,7 +48,7 @@ JSON_CONTRACTS = [
      {"experiment", "scenario", "seed", "loss_rows", "campaign"}),
     (["trace", "--json"], {"join_delay", "leave_delay", "events_total"}),
     (["spans", "--approaches", "local", "--json"],
-     {"experiment", "seed", "rows", "campaign"}),
+     {"experiment", "seed", "jobs", "cache_dir", "rows", "campaign"}),
     (["profile", "fig1", "--json"], {"total_events", "entries"}),
     (["topo", "--model", "hier", "--depth", "2", "--fanout", "3", "--json"],
      {"experiment", "model", "routers", "links", "digest", "connected"}),
@@ -100,6 +101,9 @@ class TestBadArguments:
             ["profile", "bogus-experiment"],
             ["trace", "--capacity", "many"],
             ["topo", "--model", "bogus"],
+            # table1 runs no simulation, so it takes no seed or oracles
+            ["table1", "--seed", "1"],
+            ["table1", "--check-invariants"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -175,3 +179,23 @@ class TestBadArguments:
                   "--cache-dir", str(bogus)])
         assert exc.value.code not in (0, None)
         assert "invalid --cache-dir" in str(exc.value)
+
+
+class TestFailedClaims:
+    @pytest.mark.parametrize(
+        "argv", [["compare"], ["sweep", "compare"]], ids=" ".join
+    )
+    def test_failed_paper_claim_exits_1(self, monkeypatch, capsys, argv):
+        report = SimpleNamespace(
+            all_claims_hold=False,
+            receiver_rows=[],
+            join_study_rows=[],
+            sender_rows=[],
+            claims=[("a paper claim", False, "detail")],
+            render=lambda: "comparison table",
+        )
+        monkeypatch.setattr("repro.cli.run_full_comparison", lambda **kw: report)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "comparison table" in capsys.readouterr().out

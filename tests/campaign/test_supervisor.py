@@ -8,6 +8,8 @@ the same result table as an uninterrupted one, byte-identically, for
 """
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.campaign import (
     CampaignRunner,
     CheckpointJournal,
 )
+from repro.campaign import runner as runner_module
 from repro.obs import MetricsRegistry
 
 
@@ -166,6 +169,27 @@ class TestSupervision:
         assert json.dumps(
             [o.result for o in chaotic.outcomes[1:]], sort_keys=True
         ) == payload(clean)
+
+    # the first submit has no cell in flight, the second has one
+    @pytest.mark.parametrize("broken_submit", [1, 2])
+    def test_pool_broken_at_submit_keeps_the_cell(self, monkeypatch, broken_submit):
+        """A worker can die between the runner's wait and its next
+        submit; that submit raises instead of returning a future."""
+
+        class BreaksOnce(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                type(self).submits += 1
+                if type(self).submits == broken_submit:
+                    raise BrokenProcessPool("worker died after the last wait")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnce)
+        result = CampaignRunner(jobs=2, **FAST).run(echo_cells(4))
+        clean = CampaignRunner(jobs=2, **FAST).run(echo_cells(4))
+        assert result.failed == 0
+        assert payload(result) == payload(clean)
 
 
 # ----------------------------------------------------------------------

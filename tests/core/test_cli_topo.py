@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestTopoCommand:
@@ -36,6 +42,25 @@ class TestTopoCommand:
 
         assert digest("3") == digest("3")
         assert digest("3") != digest("4")
+
+    def test_digest_stable_across_processes(self):
+        """Two processes with different string-hash seeds describe the
+        same 155-router hier 3x5 graph; the seeded Waxman graph is
+        connected too."""
+        def describe(hash_seed: str, *argv: str) -> dict:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "topo", *argv, "--json"],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            return json.loads(proc.stdout)
+
+        hier = ("--model", "hier", "--depth", "3", "--fanout", "5")
+        a, b = describe("1", *hier), describe("2", *hier)
+        assert a["digest"] == b["digest"]
+        assert a["routers"] == 155 and a["connected"]
+        waxman = describe("1", "--model", "waxman", "--nodes", "40", "--seed", "7")
+        assert waxman["connected"]
 
     def test_figure1_model(self, capsys):
         main(["topo", "--model", "figure1", "--json"])

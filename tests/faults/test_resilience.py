@@ -16,7 +16,7 @@ from repro.obs import MetricsRegistry
 
 
 class FakeApp:
-    """Duck-typed stand-in for repro.workloads.ReceiverApp."""
+    """Duck-typed stand-in for repro.traffic.ReceiverApp."""
 
     def __init__(self, deliveries):
         # deliveries: list of (time, seqno, duplicate)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.mipv6 import DeliveryMode, HomeAgent, MobileIpv6Config, MobileNode
 from repro.net import Address, ApplicationData, Host, Network
-from repro.workloads import CbrSource, ReceiverApp
+from repro.traffic import CbrSource, ReceiverApp
 
 GROUP = Address("ff1e::1")
 

@@ -45,10 +45,7 @@ def run_pair(name: str, **config_kw):
     for generated in (False, True):
         config = ScenarioConfig(seed=0, approach=recipe.approach, **config_kw)
         sc = generated_scenario(config) if generated else PaperScenario(config)
-        sc.converge()
-        host, link = recipe.move
-        sc.move(host, link, at=recipe.move_at)
-        sc.run_until(recipe.run_until)
+        recipe.play(sc)
         sc.finish()
         scenarios.append(sc)
     return scenarios

@@ -10,7 +10,6 @@ from repro.obs.export import (
     TraceArchive,
     export_run,
     import_run,
-    read_events,
     summarize_mobility,
 )
 from repro.sim import Simulator, Tracer
@@ -107,7 +106,7 @@ class TestFormatEdges:
             )
             + "\n"
         )
-        events = read_events(str(path))
+        events = import_run(str(path)).events
         assert len(events) == 1
         assert events[0].category == "mld"
 

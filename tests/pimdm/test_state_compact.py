@@ -40,13 +40,8 @@ GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
 )
 def test_backend_keeps_golden_digest(name: str) -> None:
     recipe = CANNED_RUNS[name]
-    sc = PaperScenario(
-        ScenarioConfig(seed=0, approach=recipe.approach, pim=PimDmConfig())
-    )
-    sc.converge()
-    host, link = recipe.move
-    sc.move(host, link, at=recipe.move_at)
-    sc.run_until(recipe.run_until)
+    config = ScenarioConfig(seed=0, approach=recipe.approach, pim=PimDmConfig())
+    sc = recipe.play(PaperScenario(config))
 
     golden = json.loads((GOLDEN_DIR / f"{name}-seed0.json").read_text())
     events = sc.net.tracer.events

@@ -104,11 +104,7 @@ def test_golden_unchanged_with_compaction_forced(name: str, seed: int) -> None:
     recipe = CANNED_RUNS[name]
     sc = PaperScenario(ScenarioConfig(seed=seed, approach=recipe.approach))
     sc.net.sim.set_compaction(0, 0.0)  # compact on every cancellation
-    sc.converge()
-    if recipe.move is not None:
-        host, link = recipe.move
-        sc.move(host, link, at=recipe.move_at)
-        sc.run_until(recipe.run_until)
+    recipe.play(sc)
 
     path = GOLDEN_DIR / f"{name}-seed{seed}.json"
     golden = json.loads(path.read_text())

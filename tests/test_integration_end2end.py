@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.mipv6 import DeliveryMode
 from repro.net import make_multicast_group
-from repro.workloads import CbrSource, ReceiverApp
+from repro.traffic import CbrSource, ReceiverApp
 
 
 class TestSenderAndReceiverBothMobile:

@@ -315,12 +315,8 @@ def _fluid_scenario(approach, **kw):
 @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
 def test_canned_figures(fig, approach):
     """The Figure 2-4 runs, each under every delivery approach."""
-    recipe = CANNED_RUNS[fig]
     sc, checker = _fluid_scenario(approach)
-    sc.converge()
-    host, link = recipe.move
-    sc.move(host, link, at=recipe.move_at)
-    sc.run_until(recipe.run_until)
+    CANNED_RUNS[fig].play(sc)
     sc.finish()
     checker.assert_clean()
 

@@ -118,11 +118,3 @@ class TestRegistry:
         assert type(src) is CbrSource
         assert (src.flow, src.packet_interval) == ("S-flow", 0.05)
 
-
-class TestWorkloadsShim:
-    def test_legacy_import_path_still_works(self):
-        from repro.workloads import CbrSource as ShimCbr
-        from repro.workloads.traffic import OnOffSource as ShimOnOff
-
-        assert ShimCbr is CbrSource
-        assert ShimOnOff is OnOffSource

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Address, ApplicationData, Host, Ipv6Packet, Network
-from repro.workloads import ReceiverApp
+from repro.traffic import ReceiverApp
 
 GROUP = Address("ff1e::1")
 SRC = Address("2001:db8:1::10")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mipv6 import DeliveryMode, MobileIpv6Config, MobileNode
 from repro.net import Address
-from repro.workloads import CbrSource, OnOffSource
+from repro.traffic import CbrSource, OnOffSource
 
 from topo_helpers import build_line
 

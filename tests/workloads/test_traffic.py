@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Address, Host, Network
-from repro.workloads import CbrSource, OnOffSource
+from repro.traffic import CbrSource, OnOffSource
 
 GROUP = Address("ff1e::1")
 
