@@ -3,10 +3,12 @@
 Not a paper artifact — engineering benchmarks that keep the DES fast
 enough for the sweeps (run_timer_sweep executes ~10 simulated hours).
 
-The restart-heavy check pins the heap-compaction contract
-(docs/PERFORMANCE.md): on the PIM-DM per-packet timer-restart pattern
-the heap must stay bounded — no monotone growth — over a
-million-event run.  Dispatch throughput itself is tracked by the
+The restart-heavy checks pin the heap contract (docs/PERFORMANCE.md)
+over a million-event run of the PIM-DM per-packet timer-restart
+pattern: restarts move their queued event, so the heap holds only live
+events and never compacts; the same run with ``stop()`` + ``start()``
+leaves one tombstone per tick, and compaction keeps that heap bounded
+— no monotone growth.  Dispatch throughput itself is tracked by the
 ``timer_restart`` phase of ``repro bench`` (``BENCH_KERNEL.json``).
 """
 
@@ -15,13 +17,17 @@ from repro.net import Address, ApplicationData, Ipv6Packet
 from repro.sim import Simulator, Timer
 
 
-def _restart_workload(sim, n, timers=64, sample_every=None, samples=None):
+def _restart_workload(
+    sim, n, timers=64, sample_every=None, samples=None, stop_first=False
+):
     """The PIM-DM per-packet (S,G) data-timeout pattern.
 
-    Every dispatched tick restarts one of ``timers`` 210 s timers
-    (one ``Event.cancel`` + two ``heappush``), exactly the pattern
-    that leaks cancelled entries in a kernel without compaction.  With
-    ``sample_every`` (simulated seconds), heap sizes are appended to
+    Every dispatched tick restarts one of ``timers`` 210 s timers.  A
+    restart moves the queued event; with ``stop_first`` the tick calls
+    ``stop()`` before ``start()`` instead (one ``Event.cancel`` + two
+    ``heappush``), the pattern that leaks cancelled entries in a
+    kernel without compaction.  With ``sample_every`` (simulated
+    seconds), ``(heap_size, events_pending)`` pairs are appended to
     ``samples`` as the run progresses.
     """
     pool = [Timer(sim, _noop, name=f"sg{i}") for i in range(timers)]
@@ -30,7 +36,10 @@ def _restart_workload(sim, n, timers=64, sample_every=None, samples=None):
     remaining = [n]
 
     def tick(i):
-        pool[i % timers].restart(210.0)
+        timer = pool[i % timers]
+        if stop_first:
+            timer.stop()
+        timer.start(210.0)
         if remaining[0] > 0:
             remaining[0] -= 1
             sim.schedule(0.05, tick, i + 1)
@@ -38,7 +47,7 @@ def _restart_workload(sim, n, timers=64, sample_every=None, samples=None):
     sim.schedule(0.0, tick, 0)
     if sample_every is not None:
         def sample():
-            samples.append(len(sim._heap))
+            samples.append((sim.heap_size, sim.events_pending))
             if sim.events_pending > len(pool):  # ticks still flowing
                 sim.schedule(sample_every, sample)
 
@@ -51,11 +60,10 @@ def _noop():
 
 
 def test_heap_stays_bounded_over_million_events():
-    """10^6-event restart run: the heap must not grow monotonically.
+    """10^6-event restart run: the heap holds only live events.
 
-    A kernel without compaction accumulates ~one cancelled tombstone
-    per tick (the heap ends ~10^6 entries deep); with compaction the
-    physical heap stays within a small constant of the ~66 live events.
+    Each restart moves its timer's queued event instead of cancelling
+    it, so no tombstone is ever left and the heap never compacts.
     """
     sim = Simulator()
     samples = []
@@ -64,6 +72,27 @@ def test_heap_stays_bounded_over_million_events():
     _restart_workload(sim, 1_000_000, sample_every=250.0, samples=samples)
     assert sim.events_dispatched > 1_000_000
     assert len(samples) > 50
+    over = [(heap, live) for heap, live in samples if heap > live + 1]
+    assert not over, over[:8]
+    assert sim.heap_cancelled == 0
+    assert sim.compactions == 0
+
+
+def test_heap_stays_bounded_over_million_events_with_stop_start():
+    """The same run with ``stop()`` + ``start()``: compaction bounds it.
+
+    A kernel without compaction accumulates ~one cancelled tombstone
+    per tick (the heap ends ~10^6 entries deep); with compaction the
+    physical heap stays within a small constant of the ~66 live events.
+    """
+    sim = Simulator()
+    samples = []
+    _restart_workload(
+        sim, 1_000_000, sample_every=250.0, samples=samples, stop_first=True
+    )
+    assert sim.events_dispatched > 1_000_000
+    assert len(samples) > 50
+    samples = [heap for heap, _ in samples]
     peak = max(samples)
     # Default compaction trigger is 1024 tombstones; live events are
     # ~66.  Anything monotone would blow straight past this bound.

@@ -13,11 +13,12 @@ Phases
     Plain schedule + dispatch throughput: N one-shot events through
     :meth:`Simulator.run`.  The classic DES "hold model" cost.
 ``timer_restart``
-    The restart-heavy protocol pattern that motivated cancelled-entry
-    compaction: PIM-DM restarts the 210 s (S,G) data timeout on every
-    forwarded packet, MLD restarts T_MLI on every Report.  Driven via
-    :meth:`Simulator.step` so heap growth can be sampled; reports peak
-    heap size, peak pending events, and compaction count.
+    The restart-heavy protocol pattern: PIM-DM restarts the 210 s (S,G)
+    data timeout on every forwarded packet, MLD restarts T_MLI on every
+    Report.  Each restart moves the queued timer event, so the heap
+    holds only live events.  Driven via :meth:`Simulator.step` so heap
+    size can be sampled; reports peak heap size, peak pending events,
+    and compaction count.
 ``scenario``
     The full Figure 2 receiver-move scenario (converge + move +
     T_MLI horizon) — the macro-benchmark behind every golden trace.
@@ -129,10 +130,10 @@ def _noop() -> None:
 def _phase_timer_restart(n: int, timers: int = 64) -> Dict[str, Any]:
     """The PIM-DM per-packet data-timeout pattern: one restart per tick.
 
-    Every dispatched tick cancels a pending 210 s timer event and pushes
-    two new entries (the restarted timer + the next tick), so a kernel
-    without compaction accumulates one cancelled tombstone per event and
-    pays logarithmically growing ``heappush`` cost.
+    Every dispatched tick moves a pending 210 s timer event to its new
+    deadline (no heap operation: the entry is re-pushed once, when its
+    old key surfaces) and pushes the next tick, so the heap stays at
+    the ~65 live events and never compacts.
     """
     sim = Simulator()
     pool = [Timer(sim, _noop, name=f"sg{i}") for i in range(timers)]

@@ -381,7 +381,7 @@ def _compare_grid(args: argparse.Namespace, runner):
 def _timers_grid(args: argparse.Namespace, runner):
     points = run_timer_sweep(
         query_intervals=tuple(args.intervals),
-        seeds=tuple(range(args.repeats)),
+        seeds=tuple(range(args.seed, args.seed + args.repeats)),
         runner=runner,
     )
     fields = {
@@ -409,11 +409,15 @@ def _scaling_grid(args: argparse.Namespace, runner):
     ]
 
 
+#: ``sweep scale`` group counts when ``--groups`` is not given
+_SCALE_GROUPS = (1, 4, 8)
+
+
 def _scale_grid(args: argparse.Namespace, runner):
     report = run_scale_sweep(
         sizes=_parse_scale_sizes(args.topo_model, args.sizes),
         receivers=tuple(args.receivers),
-        groups=tuple(args.groups),
+        groups=tuple(args.groups or _SCALE_GROUPS),
         mobility=tuple(args.mobility),
         model=args.topo_model,
         seed=args.seed,
@@ -425,14 +429,24 @@ def _scale_grid(args: argparse.Namespace, runner):
 
 
 def _fluid_grid(args: argparse.Namespace, runner):
-    # EXP-S2 runs both engines itself; cells are sequential (the
-    # packet 10^4 cell dominates) so no campaign sharding here.
+    # EXP-S2 cells are single-group hierarchies
+    if args.topo_model != "hier":
+        raise SystemExit(
+            f"error: the fluid grid runs hier topologies only, got "
+            f"--topo-model {args.topo_model}"
+        )
+    if args.groups not in (None, [1]):
+        raise SystemExit(
+            "error: the fluid grid runs one group per cell, got --groups "
+            + " ".join(str(g) for g in args.groups)
+        )
     study = run_fluid_study(
         sizes=_parse_scale_sizes("hier", args.sizes),
         receivers=tuple(args.receivers),
         seed=args.seed,
         duration=args.duration,
         mobility=args.mobility[0] if args.mobility else 0.0,
+        runner=runner,
         **(
             {"probe_interval": args.probe_interval}
             if args.probe_interval is not None
@@ -483,7 +497,7 @@ def _sweep(args: argparse.Namespace) -> None:
         raise SystemExit(
             f"error: --receivers must be >= 1, got {min(args.receivers)}"
         )
-    if min(args.groups) < 1:
+    if args.groups is not None and min(args.groups) < 1:
         raise SystemExit(f"error: --groups must be >= 1, got {min(args.groups)}")
     if min(args.mobility) < 0:
         raise SystemExit(
@@ -1040,8 +1054,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--receivers", type=int, nargs="+",
                        default=[100, 1000],
                        help="scale-grid mobile-receiver populations")
-    sweep.add_argument("--groups", type=int, nargs="+", default=[1, 4, 8],
-                       help="scale-grid multicast group counts")
+    sweep.add_argument("--groups", type=int, nargs="+", default=None,
+                       help="scale-grid multicast group counts (default: "
+                       "1 4 8; the fluid grid runs 1)")
     sweep.add_argument("--mobility", type=float, nargs="+", default=[0.0],
                        help="scale-grid mean handovers per receiver")
     sweep.add_argument("--duration", type=float, default=30.0,

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, fmt_float, render_table
+from ..campaign import CampaignCell, CampaignRunner
 
 __all__ = [
     "fluid_cell",
@@ -167,35 +168,63 @@ def run_fluid_study(
     packet_interval: float = 0.05,
     probe_interval: float = DEFAULT_PROBE_INTERVAL,
     mobility: float = 0.0,
+    runner: Optional[CampaignRunner] = None,
 ) -> Dict[str, Any]:
     """EXP-S2: packet/fluid cell pairs plus the weighted million cell.
 
     For every receiver count up to ``packet_cap`` both engines run and
     the pair reports the data-plane event reduction and byte agreement;
     beyond the cap only fluid runs (that asymmetry is the point).
+    Every cell is a ``fluid.cell`` task with an explicit seed, run by
+    ``runner`` (sharded and cached when it is configured so; a plain
+    in-process runner by default).
     """
     sizes = [dict(s) for s in (sizes or [{"depth": 3, "fanout": 10}])]
+    common = dict(
+        seed=seed,
+        warmup=warmup,
+        duration=duration,
+        packet_interval=packet_interval,
+        probe_interval=probe_interval,
+        mobility=mobility,
+    )
+    cells = [
+        CampaignCell(
+            "fluid.cell",
+            dict(model_params=size, receivers=count, traffic_model=engine, **common),
+        )
+        for size in sizes
+        for count in receivers
+        for engine in (("fluid", "packet") if count <= packet_cap else ("fluid",))
+    ]
+    if million_cell:
+        cells.append(
+            CampaignCell(
+                "fluid.cell",
+                dict(
+                    model_params=sizes[-1],
+                    receivers=max(receivers),
+                    receiver_weight=million_weight,
+                    traffic_model="fluid",
+                    **common,
+                ),
+            )
+        )
+    if runner is None:
+        runner = CampaignRunner(master_seed=seed)
+    # results come back in cell order: the loops below mirror the cells
+    results = iter(runner.run(cells).require_success().results())
     pairs: List[Dict[str, Any]] = []
     for size in sizes:
         for count in receivers:
-            common = dict(
-                model_params=size,
-                receivers=count,
-                seed=seed,
-                warmup=warmup,
-                duration=duration,
-                packet_interval=packet_interval,
-                probe_interval=probe_interval,
-                mobility=mobility,
-            )
-            fluid = fluid_cell(traffic_model="fluid", **common)
+            fluid = next(results)
             row: Dict[str, Any] = {
                 "model_params": size,
                 "receivers": count,
                 "fluid": fluid,
             }
             if count <= packet_cap:
-                packet = fluid_cell(traffic_model="packet", **common)
+                packet = next(results)
                 row["packet"] = packet
                 probe_tx = max(fluid["probe_transmissions"], 1)
                 row["data_event_reduction"] = round(
@@ -217,19 +246,7 @@ def run_fluid_study(
         "pairs": pairs,
     }
     if million_cell:
-        hosts = max(r for r in receivers)
-        study["million_cell"] = fluid_cell(
-            model_params=sizes[-1],
-            receivers=hosts,
-            receiver_weight=million_weight,
-            traffic_model="fluid",
-            seed=seed,
-            warmup=warmup,
-            duration=duration,
-            packet_interval=packet_interval,
-            probe_interval=probe_interval,
-            mobility=mobility,
-        )
+        study["million_cell"] = next(results)
     return study
 
 

@@ -79,6 +79,8 @@ class Link:
         #: (fault injection: LinkDown/LinkUp events)
         self.up = True
         self.interfaces: List["Interface"] = []
+        #: kernel label of every frame delivery, formatted once
+        self._rx_label = f"{name}.rx"
         #: neighbor cache: address -> owning interface (plus proxy entries)
         self._neighbor_cache: Dict[Address, "Interface"] = {}
         self._busy_until = 0.0
@@ -245,13 +247,13 @@ class Link:
 
         if l2_dst is not None:
             self.sim.schedule_at(
-                arrival, self._deliver_one, l2_dst, packet, label=f"{self.name}.rx"
+                arrival, self._deliver_one, l2_dst, packet, label=self._rx_label
             )
         else:
             # Flood delivery: scheduling does not mutate the attachment
             # list, so iterate it directly — no per-frame list() copy.
             schedule_at = self.sim.schedule_at
-            label = f"{self.name}.rx"
+            label = self._rx_label
             for iface in self.interfaces:
                 if iface is sender:
                     continue

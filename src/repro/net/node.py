@@ -161,7 +161,7 @@ class Node:
     # ------------------------------------------------------------------
     def trace(self, category: str, **detail) -> None:
         if self.tracer is not None:
-            self.tracer.record(category, self.name, **detail)
+            self.tracer.record(category, self.name, detail)
 
     # ------------------------------------------------------------------
     # sending

@@ -107,8 +107,10 @@ class Ipv6Packet:
         "hop_limit",
         "dest_options",
         "uid",
+        "_inner",
         "_size_bytes",
         "_described",
+        "_category",
     )
 
     def __init__(
@@ -125,12 +127,19 @@ class Ipv6Packet:
         self.hop_limit = hop_limit
         self.dest_options: Tuple[DestinationOption, ...] = tuple(dest_options)
         self.uid = next(_packet_uid)
+        #: innermost encapsulated packet; None when not tunneled (a
+        #: plain packet does not reference itself)
+        self._inner: Optional[Ipv6Packet] = None
+        if isinstance(payload, Ipv6Packet):
+            self._inner = payload.inner
         # Packets are immutable after construction (forwarding clones
-        # instead of mutating), so the wire size and trace label are
-        # computed once and memoized — both are recomputed per hop on
-        # the Link.transmit hot path otherwise.
+        # instead of mutating), so the wire size, trace label and stats
+        # category (:func:`repro.net.stats.classify_packet`) are
+        # computed once and memoized — each is needed per hop on the
+        # Link.transmit hot path otherwise.
         self._size_bytes: Optional[int] = None
         self._described: Optional[str] = None
+        self._category: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
@@ -148,15 +157,13 @@ class Ipv6Packet:
     @property
     def is_tunneled(self) -> bool:
         """True when this packet encapsulates another IPv6 packet."""
-        return isinstance(self.payload, Ipv6Packet)
+        return self._inner is not None
 
     @property
     def inner(self) -> "Ipv6Packet":
         """Innermost encapsulated packet (self when not tunneled)."""
-        pkt = self
-        while isinstance(pkt.payload, Ipv6Packet):
-            pkt = pkt.payload
-        return pkt
+        inner = self._inner
+        return self if inner is None else inner
 
     @property
     def overhead_bytes(self) -> int:
@@ -196,7 +203,13 @@ class Ipv6Packet:
         return None
 
     def with_decremented_hop_limit(self) -> "Ipv6Packet":
-        """Copy with hop limit reduced by one (router forwarding)."""
+        """Copy with hop limit reduced by one (router forwarding).
+
+        The copy keeps the original's uid (it is the same datagram one
+        hop on) but still draws one from the counter, which keeps every
+        later uid in a trace unchanged; the memoized size, label and
+        category carry over, since the hop limit enters none of them.
+        """
         clone = Ipv6Packet(
             self.src,
             self.dst,
@@ -205,6 +218,9 @@ class Ipv6Packet:
             dest_options=self.dest_options,
         )
         clone.uid = self.uid
+        clone._size_bytes = self._size_bytes
+        clone._described = self._described
+        clone._category = self._category
         return clone
 
     def describe(self) -> str:

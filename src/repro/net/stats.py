@@ -114,15 +114,23 @@ def classify_packet(packet: Ipv6Packet) -> str:
 
     Tunneled packets classify as their inner content; the encapsulation
     bytes are charged separately to ``tunnel_overhead`` by the caller
-    (see :meth:`LinkStats.account`).
+    (see :meth:`LinkStats.account`).  The result is memoized on the
+    (immutable) packet, which is charged once per hop.
     """
+    category = packet._category
+    if category is not None:
+        return category
     message = packet.innermost_message()
-    proto = message.protocol
-    if proto == "app":
+    category = message.protocol
+    if category == "app":
         if getattr(message, "probe", False):
-            return FLUID_PROBE_CATEGORY
-        return "mcast_data" if packet.inner.dst.is_multicast else "unicast_data"
-    return proto
+            category = FLUID_PROBE_CATEGORY
+        elif packet.inner.dst.is_multicast:
+            category = "mcast_data"
+        else:
+            category = "unicast_data"
+    packet._category = category
+    return category
 
 
 @dataclass

@@ -20,12 +20,20 @@ sift comparisons run entirely in C — the previous ``@dataclass
 (order=True)`` entry paid a Python-level ``__lt__`` (plus two tuple
 allocations) per comparison, dominating dispatch cost at scale.
 
-Cancellation is O(1) lazy deletion, but restart-heavy protocol
-patterns (PIM-DM restarts the 210 s (S,G) data timeout on *every*
-forwarded packet; MLD restarts T_MLI on every Report) would otherwise
-grow the heap without bound with cancelled tombstones and slow every
-``heappush`` logarithmically.  The kernel therefore tracks the number
-of cancelled entries still in the heap and **compacts** (filters +
+Restart-heavy protocol patterns (PIM-DM restarts the 210 s (S,G)
+data timeout on *every* forwarded packet; MLD restarts T_MLI on every
+Report) do not touch the heap: a :class:`~repro.sim.timers.Timer`
+restart to a deadline no earlier than the pending one takes a fresh
+sequence number — exactly as :meth:`Simulator.schedule_at` would — and
+stores the new ``(time, seq)`` key on the event, whose heap entry
+stays where it is.  The stale entry always surfaces before the new key
+would, and is then re-pushed under that key (not a dispatch), so the
+dispatch order is that of a cancel plus a new event, without the
+tombstone.
+
+Cancellation (``stop()``, ``cancel()``, a restart to an earlier
+deadline) is O(1) lazy deletion.  The kernel tracks the number of
+cancelled entries still in the heap and **compacts** (filters +
 re-heapifies) once the cancelled fraction passes a threshold
 (:meth:`Simulator.set_compaction`).  Compaction preserves the
 ``(time, seq)`` keys, so FIFO tie-breaking — and hence every golden
@@ -61,6 +69,7 @@ class Event:
 
     __slots__ = (
         "time",
+        "seq",
         "fn",
         "args",
         "kwargs",
@@ -73,14 +82,19 @@ class Event:
     def __init__(
         self,
         time: float,
+        seq: int,
         fn: Callable[..., Any],
         args: tuple,
-        kwargs: dict,
+        kwargs: Optional[dict],
         label: str = "",
     ) -> None:
+        #: ``(time, seq)`` is the dispatch key; a heap entry whose seq
+        #: differs was moved by :meth:`Simulator._postpone`
         self.time = time
+        self.seq = seq
         self.fn = fn
         self.args = args
+        #: None when the callback takes no keyword arguments
         self.kwargs = kwargs
         self.cancelled = False
         self.dispatched = False
@@ -173,7 +187,10 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def heap_size(self) -> int:
-        """Entries physically in the heap (pending + cancelled tombstones)."""
+        """Entries physically in the heap (pending + cancelled tombstones).
+
+        Every pending event has exactly one entry: a restarted timer's
+        event keeps its entry (see :meth:`_postpone`)."""
         return len(self._heap)
 
     @property
@@ -293,11 +310,25 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, now is t={self._now!r}"
             )
-        event = Event(time, fn, args, kwargs, label=label)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args, kwargs or None, label=label)
         event._sim = self
-        heapq.heappush(self._heap, (time, next(self._seq), event))
+        heapq.heappush(self._heap, (time, seq, event))
         self._pending_count += 1
         return event
+
+    def _postpone(self, event: Event, time: float) -> None:
+        """Move pending ``event`` to ``time`` (not earlier than
+        ``event.time``) without touching the heap.
+
+        The event takes the sequence number a new event scheduled now
+        would take, so it dispatches exactly where cancel-and-reschedule
+        would put it.  Its heap entry keeps the old, smaller key; when
+        that entry surfaces, :meth:`_pop_next` / :meth:`peek_next_time`
+        re-push it under the new one.
+        """
+        event.time = time
+        event.seq = next(self._seq)
 
     def call_now(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``fn`` at the current instant (after queued same-time events)."""
@@ -315,15 +346,20 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            head = heap[0]
-            if head[2].cancelled:
+            time, seq, event = heap[0]
+            if event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
-            if until is not None and head[0] > until:
+            # a moved entry's real key is later still, so this test
+            # holds for it too
+            if until is not None and time > until:
                 return None
+            if seq != event.seq:
+                heapq.heapreplace(heap, (event.time, event.seq, event))
+                continue
             heapq.heappop(heap)
-            return head[2]
+            return event
         return None
 
     def _dispatch(self, event: Event) -> None:
@@ -342,11 +378,14 @@ class Simulator:
         self._dispatched_count += 1
         self._pending_count -= 1
         profiler = self._profiler
-        if profiler is None:
-            event.fn(*event.args, **event.kwargs)
-        else:
+        if profiler is not None:
             started = perf_counter()
-            event.fn(*event.args, **event.kwargs)
+        kwargs = event.kwargs
+        if kwargs is None:
+            event.fn(*event.args)
+        else:
+            event.fn(*event.args, **kwargs)
+        if profiler is not None:
             profiler.account(
                 event.label or getattr(event.fn, "__qualname__", "?"),
                 perf_counter() - started,
@@ -399,10 +438,16 @@ class Simulator:
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][0] if heap else None
+        while heap:
+            time, seq, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._cancelled_in_heap -= 1
+            elif seq != event.seq:
+                heapq.heapreplace(heap, (event.time, event.seq, event))
+            else:
+                return time
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.6f} pending={self.events_pending}>"

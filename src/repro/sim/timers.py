@@ -70,9 +70,23 @@ class Timer:
 
     # ------------------------------------------------------------------
     def start(self, duration: float) -> None:
-        """Arm the timer.  Restarts (reschedules) if already running."""
-        self.stop()
+        """Arm the timer.  Restarts (reschedules) if already running.
+
+        A restart to a deadline no earlier than the pending one moves
+        the queued event (:meth:`Simulator._postpone`) and leaves no
+        cancelled entry in the heap; an earlier deadline cancels it and
+        schedules a new one.  Either way the timer fires exactly where
+        a cancel plus a new event would.
+        """
         self.duration = duration
+        event = self._event
+        if event is not None and event.pending:
+            sim = self.sim
+            expiry = sim.now + duration
+            if expiry >= event.time:
+                sim._postpone(event, expiry)
+                return
+            event.cancel()
         self._event = self.sim.schedule(duration, self._fire, label=self.name)
 
     def restart(self, duration: Optional[float] = None) -> None:

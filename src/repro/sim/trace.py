@@ -45,9 +45,9 @@ from .kernel import Simulator
 __all__ = ["TraceEvent", "Tracer"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One trace record."""
+    """One trace record (never mutated after it is recorded)."""
 
     time: float
     category: str
@@ -97,13 +97,27 @@ class Tracer(TraceQueryMixin):
         self._active_cache: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------
-    def record(self, category: str, node: str, **detail: Any) -> None:
-        """Record one event at the current simulation time."""
+    def record(
+        self,
+        category: str,
+        node: str,
+        detail: Optional[Dict[str, Any]] = None,
+        /,
+        **fields: Any,
+    ) -> None:
+        """Record one event at the current simulation time.
+
+        The detail is ``fields``, or a caller's own fresh ``detail``
+        dict passed positionally (``Node.trace`` hands over its kwargs
+        without unpacking them again); the event keeps that dict.
+        """
         active = self._active_cache.get(category)
         if active is None:
             active = self._active_cache[category] = self.is_enabled(category)
         if not active:
             return
+        if detail is None:
+            detail = fields
         ev = TraceEvent(self.sim.now, category, node, detail)
         self._store.append(ev)
         for listener in self._listeners:

@@ -21,9 +21,9 @@ from ..net.packet import Ipv6Packet
 __all__ = ["Delivery", "ReceiverApp"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
-    """One datagram delivery at the application."""
+    """One datagram delivery at the application (never mutated)."""
 
     time: float
     flow: str

@@ -56,6 +56,13 @@ def check_scale(payload):
     assert payload["report"]["gain_trend_increasing"] is True
 
 
+def check_fluid(payload):
+    report = payload["report"]
+    (pair,) = report["pairs"]
+    assert pair["mcast_bytes_rel_error"] <= 0.01, pair
+    assert report["million_cell"]["traffic"]["delivered_bytes"] > 0, report
+
+
 def check_chaos(payload):
     report = payload["report"]
     archetypes = {r["archetype"] for r in report["rows"]}
@@ -86,6 +93,13 @@ CASES = {
          "--groups", "1", "2", "--duration", "10", "--check-invariants"],
         4,
         check_scale,
+    ),
+    # EXP-S2: one packet/fluid pair plus the weighted million cell
+    "sweep fluid": (
+        ["sweep", "fluid", "--sizes", "2x5", "--receivers", "50",
+         "--duration", "30"],
+        3,
+        check_fluid,
     ),
     # EXP-R3: 5 archetypes x 2 topologies x 2 intensities, oracles armed
     "sweep chaos": (["sweep", "chaos", "--check-invariants"], 20, check_chaos),
@@ -118,12 +132,10 @@ def run_cli(argv, cache_dir: Path, cwd: Path) -> dict:
 
 def test_every_campaign_command_is_covered():
     """A grid or command that runs through the campaign runner needs a
-    row above.  ``sweep fluid`` runs its cells without the runner."""
+    row above."""
     parser = build_parser()
     takes_cache = {c for c in COMMANDS if "cache_dir" in parser.parse_args([c])}
-    expected = (takes_cache - {"sweep"}) | {
-        f"sweep {grid}" for grid in GRIDS if grid != "fluid"
-    }
+    expected = (takes_cache - {"sweep"}) | {f"sweep {grid}" for grid in GRIDS}
     assert set(CASES) == expected
 
 

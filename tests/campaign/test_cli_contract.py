@@ -148,6 +148,11 @@ class TestBadArguments:
             (["sweep", "fluid", "--sizes", "0x5"],
              "bad --sizes token '0x5' for model 'hier' "
              "(depth and fanout must be >= 1)"),
+            (["sweep", "fluid", "--groups", "1", "4"],
+             "the fluid grid runs one group per cell, got --groups 1 4"),
+            (["sweep", "fluid", "--topo-model", "fattree"],
+             "the fluid grid runs hier topologies only, got "
+             "--topo-model fattree"),
             (["sweep", "timers", "--repeats", "0"], "--repeats must be >= 1"),
             (["timers", "--repeats", "0"], "--repeats must be >= 1, got 0"),
             (["timers", "--repeats", "-2"], "--repeats must be >= 1, got -2"),

@@ -80,6 +80,20 @@ class TestJsonMode:
         assert point["query_interval"] == 10.0
         assert "mean_join_delay" in point
 
+    @pytest.mark.parametrize("command", [["timers"], ["sweep", "timers"]])
+    def test_timers_seed_picks_the_cells(self, capsys, command):
+        """``--seed`` seeds the timer cells: 5 moves every point, 0 is
+        the default."""
+        import json
+
+        def points(*extra):
+            main([*command, "--intervals", "10", "--repeats", "1", "--json", *extra])
+            return json.loads(capsys.readouterr().out)["points"]
+
+        default = points()
+        assert points("--seed", "0") == default
+        assert points("--seed", "5") != default
+
 
 class TestObservabilityCommands:
     def test_trace_export_import_same_numbers(self, capsys, tmp_path):

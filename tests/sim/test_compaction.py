@@ -1,12 +1,14 @@
 """Cancelled-entry heap-compaction suite.
 
 Restart-heavy protocol patterns (PIM-DM's per-packet 210 s data
-timeout, MLD's per-Report T_MLI) cancel one kernel event per restart.
-The kernel amortizes those tombstones away by compacting the heap once
-they dominate (see ``Simulator.set_compaction``).  These tests pin the
-contract: bounded heap under restart pressure, and *zero* behavioural
-impact — compaction preserves FIFO tie-breaking, ``peek_next_time``,
-and the pending counters, even when forced on every cancellation.
+timeout, MLD's per-Report T_MLI) move the queued timer event and leave
+no tombstone; ``stop()``, ``cancel()`` and a restart to an earlier
+deadline still cancel one kernel event each.  The kernel amortizes
+those tombstones away by compacting the heap once they dominate (see
+``Simulator.set_compaction``).  These tests pin the contract: bounded
+heap under restart and cancel pressure, and *zero* behavioural impact —
+compaction preserves FIFO tie-breaking, ``peek_next_time``, and the
+pending counters, even when forced on every cancellation.
 """
 
 import pytest
@@ -62,10 +64,22 @@ class TestCompactionTrigger:
             assert sim.heap_cancelled == 0
 
     def test_restart_heavy_timer_keeps_heap_bounded(self, sim):
+        """Restarts move the queued event: no tombstone, no compaction."""
         sim.set_compaction(64, 0.5)
         timer = Timer(sim, lambda: None, name="t_mli")
         for _ in range(5_000):
             timer.restart(260.0)
+            assert sim.heap_size <= sim.events_pending + 1
+        assert sim.heap_cancelled == 0
+        assert sim.compactions == 0
+
+    def test_stop_start_timer_compacts(self, sim):
+        """``stop()`` + ``start()`` still cancels; compaction bounds it."""
+        sim.set_compaction(64, 0.5)
+        timer = Timer(sim, lambda: None, name="t_mli")
+        for _ in range(5_000):
+            timer.stop()
+            timer.start(260.0)
             assert sim.heap_size <= 2 * max(sim.events_pending, 64) + 2
         assert sim.compactions > 10
 

@@ -1,6 +1,8 @@
 """Unit tests for restartable and periodic timers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import PeriodicTimer, Simulator, Timer
 
@@ -214,3 +216,129 @@ class TestPeriodicTimer:
         assert p.running
         p.stop()
         assert not p.running
+
+
+class ReferenceTimer:
+    """``Timer`` with the cancel-and-reschedule ``start`` it had before
+    restarts moved the queued event; the reference for the suite below."""
+
+    def __init__(self, sim, callback, name):
+        self.sim = sim
+        self.callback = callback
+        self.name = name
+        self._event = None
+
+    @property
+    def running(self):
+        return self._event is not None and self._event.pending
+
+    @property
+    def expires_at(self):
+        return self._event.time if self.running else None
+
+    def start(self, duration):
+        self.stop()
+        self._event = self.sim.schedule(duration, self._fire, label=self.name)
+
+    def stop(self):
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self):
+        self._event = None
+        self.callback()
+
+
+#: binary-exact offsets, so deadlines, raw events and run bounds tie often
+_OFFSETS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+_N_TIMERS = 3
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("start"), st.integers(0, _N_TIMERS - 1), _OFFSETS),
+        st.tuples(st.just("stop"), st.integers(0, _N_TIMERS - 1), st.just(0.0)),
+        st.tuples(st.just("raw"), st.integers(0, 9), _OFFSETS),
+        st.tuples(st.just("run"), st.just(0), _OFFSETS),
+        st.tuples(st.just("peek"), st.just(0), st.just(0.0)),
+    ),
+    max_size=60,
+)
+
+
+class _Side:
+    """One simulator driven by the op stream, with ``make`` timers.
+
+    Timer ``i``'s callback logs its firing and (re)starts timer
+    ``i+1``, if any, with a 1 s duration, so restarts also happen
+    mid-dispatch."""
+
+    def __init__(self, make, compact):
+        self.sim = Simulator()
+        if compact:
+            self.sim.set_compaction(0, 0.0)
+        self.log = []
+        self.timers = [
+            make(self.sim, self._callback(i), f"t{i}") for i in range(_N_TIMERS)
+        ]
+
+    def _callback(self, i):
+        def fire():
+            self.log.append((f"t{i}", self.sim.now))
+            if i + 1 < _N_TIMERS:
+                self.timers[i + 1].start(1.0)
+
+        return fire
+
+    def apply(self, op, index, offset):
+        sim = self.sim
+        if op == "start":
+            self.timers[index].start(offset)
+        elif op == "stop":
+            self.timers[index].stop()
+        elif op == "raw":
+            sim.schedule_at(sim.now + offset, self.log.append, (f"raw{index}", offset))
+        elif op == "run":
+            sim.run(until=sim.now + offset)
+        else:
+            return sim.peek_next_time()
+        return None
+
+    def state(self):
+        sim = self.sim
+        return (
+            list(self.log),
+            sim.now,
+            sim.events_dispatched,
+            sim.events_pending,
+            [t.expires_at for t in self.timers],
+        )
+
+
+class TestRestartMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_OPS, compact=st.booleans())
+    def test_same_dispatch_as_cancel_and_reschedule(self, ops, compact):
+        """Moving the queued event on a later restart dispatches exactly
+        what cancel-and-reschedule dispatches, in the same order, with
+        the same counters, deadlines and ``peek_next_time``."""
+        moved = _Side(Timer, compact)
+        reference = _Side(ReferenceTimer, compact)
+        for op in ops:
+            assert moved.apply(*op) == reference.apply(*op)
+            assert moved.state() == reference.state()
+        moved.sim.run()
+        reference.sim.run()
+        assert moved.state() == reference.state()
+        assert moved.sim.heap_size == 0
+
+    def test_later_restart_leaves_no_tombstone(self, sim):
+        t = Timer(sim, lambda: None)
+        t.start(5.0)
+        sim.run(until=1.0)
+        t.start(5.0)
+        t.start(7.0)
+        assert (sim.heap_size, sim.heap_cancelled) == (1, 0)
+        assert t.expires_at == 8.0
+        t.start(1.0)  # earlier deadline: cancel and reschedule
+        assert (sim.heap_size, sim.heap_cancelled) == (2, 1)
+        assert sim.peek_next_time() == 2.0

@@ -114,10 +114,16 @@ class TestRegressionGate:
         baseline = tmp_path / "baseline.json"
         out = tmp_path / "BENCH_KERNEL.json"
         main(["bench", "--quick", "--scale", SCALE, "--output", str(baseline)])
-        # Loose tolerance: tiny workloads jitter, and this test pins the
-        # gate plumbing (exit 0 on pass), not real throughput.
+        # Baseline rates doctored down, so a host stall inside a tiny
+        # phase cannot fail the run: this test pins the gate plumbing
+        # (exit 0 on pass), not real throughput.
+        doctored = json.loads(baseline.read_text())
+        for phase in doctored["phases"].values():
+            if phase.get("events_per_sec"):
+                phase["events_per_sec"] /= 1000.0
+        write_report(doctored, str(baseline))
         main(["bench", "--quick", "--scale", SCALE, "--output", str(out),
-              "--baseline", str(baseline), "--tolerance", "0.95"])
+              "--baseline", str(baseline)])
 
     def test_cli_gate_fails_on_regression(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
