@@ -107,7 +107,8 @@ def _print_json(payload: Any) -> None:
 def _traffic(args: argparse.Namespace) -> Dict[str, Any]:
     """The traffic-engine flags as keyword arguments."""
     return {
-        "traffic_model": args.traffic_model,
+        # ``sweep`` leaves the flag unset so a grid can tell it was given
+        "traffic_model": args.traffic_model or "packet",
         "probe_interval": args.probe_interval,
     }
 
@@ -440,12 +441,22 @@ def _fluid_grid(args: argparse.Namespace, runner):
             "error: the fluid grid runs one group per cell, got --groups "
             + " ".join(str(g) for g in args.groups)
         )
+    if len(args.mobility) > 1:
+        raise SystemExit(
+            "error: the fluid grid runs one mobility per study, got --mobility "
+            + " ".join(str(m) for m in args.mobility)
+        )
+    if args.traffic_model is not None:
+        raise SystemExit(
+            "error: the fluid grid runs both traffic engines, got "
+            f"--traffic-model {args.traffic_model}"
+        )
     study = run_fluid_study(
         sizes=_parse_scale_sizes("hier", args.sizes),
         receivers=tuple(args.receivers),
         seed=args.seed,
         duration=args.duration,
-        mobility=args.mobility[0] if args.mobility else 0.0,
+        mobility=args.mobility[0],
         runner=runner,
         **(
             {"probe_interval": args.probe_interval}
@@ -461,7 +472,7 @@ def _chaos_grid(args: argparse.Namespace, runner):
 
     report = run_chaos_sweep(
         seed=args.seed,
-        traffic_models=(args.traffic_model,),
+        traffic_models=(_traffic(args)["traffic_model"],),
         probe_interval=args.probe_interval,
         runner=runner,
     )
@@ -1061,6 +1072,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale-grid mean handovers per receiver")
     sweep.add_argument("--duration", type=float, default=30.0,
                        help="scale-grid measurement window (sim seconds)")
+    # unset unless given: the fluid grid runs both engines and rejects it
+    sweep.set_defaults(traffic_model=None)
     faults = sub.add_parser(
         "faults", parents=run + [campaign],
         help="resilience under injected faults: loss sweeps and home-agent "

@@ -77,6 +77,8 @@ def fluid_cell(
     graph = topo_graph(spec)
     built = build_network(graph, seed=seed)
     net = built.net
+    # the result reads no trace back; listeners still hear theirs
+    net.tracer.retain = False
     group_addrs = [built.make_group(g + 1) for g in range(groups)]
     leaf = graph.leaf_links
     sources = [

@@ -80,6 +80,8 @@ def scale_cell(
     graph = topo_graph(spec)
     built = build_network(graph, seed=seed)
     net = built.net
+    # the result reads no trace back; listeners still hear theirs
+    net.tracer.retain = False
     monitor = None
     if check_invariants or (check_invariants is None and checking_enabled()):
         monitor = InvariantMonitor(net, escalate=True).attach()

@@ -333,14 +333,16 @@ class Host(Node):
     def deliver_app_data(self, packet: Ipv6Packet) -> None:
         message = packet.innermost_message()
         if isinstance(message, ApplicationData):
-            self.trace(
-                "mcast.deliver",
-                group=str(packet.inner.dst),
-                flow=message.flow,
-                seqno=message.seqno,
-                src=str(packet.inner.src),
-                latency=self.sim.now - message.sent_at,
-            )
+            tracer = self.tracer
+            if tracer is not None and tracer.wants("mcast.deliver"):
+                self.trace(
+                    "mcast.deliver",
+                    group=str(packet.inner.dst),
+                    flow=message.flow,
+                    seqno=message.seqno,
+                    src=str(packet.inner.src),
+                    latency=self.sim.now - message.sent_at,
+                )
             for callback in self._app_receivers:
                 callback(packet, message)
 

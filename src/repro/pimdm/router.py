@@ -324,13 +324,15 @@ class PimDmEngine:
                     self.node.send_on(oif, forwarded)
                 entry.packets_forwarded += 1
                 self.node.load["packets_forwarded"] += len(outs)
-                self.node.trace(
-                    "mcast.forward",
-                    source=str(source),
-                    group=str(group),
-                    links=[o.link.name for o in outs if o.link],
-                    uid=packet.uid,
-                )
+                tracer = self.node.tracer
+                if tracer is not None and tracer.wants("mcast.forward"):
+                    self.node.trace(
+                        "mcast.forward",
+                        source=str(source),
+                        group=str(group),
+                        links=[o.link.name for o in outs if o.link],
+                        uid=packet.uid,
+                    )
             elif not outs:
                 entry.packets_discarded += 1
             if group in self.node_groups:

@@ -69,7 +69,10 @@ class Tracer(TraceQueryMixin):
     Recording of high-volume categories (``link``) can be disabled for
     long benchmark runs; all protocol-level categories are always cheap
     enough to keep.  For very long runs, ``capacity=N`` keeps only the
-    newest N events (ring-buffer mode) so memory stays bounded.
+    newest N events (ring-buffer mode) so memory stays bounded.  A run
+    that never reads its trace back sets :attr:`retain` to False: the
+    store then keeps nothing, listeners still hear their categories,
+    and an event no listener takes is not even built.
     """
 
     def __init__(
@@ -90,10 +93,14 @@ class Tracer(TraceQueryMixin):
                     f"{sorted(overlap)}"
                 )
         self._store = TraceStore(capacity=capacity)
+        self._retain = True
         self._listeners: List[Callable[[TraceEvent], None]] = []
-        #: category -> recorded? memo, so the hot path (record / wants)
+        #: categories some filtered listener takes; None once an
+        #: unfiltered listener takes every category
+        self._listened: Optional[set] = set()
+        #: category -> wanted? memo, so the hot path (record / wants)
         #: is a single dict hit instead of two set probes; invalidated
-        #: by enable/disable.
+        #: by enable/disable, retention and listener changes.
         self._active_cache: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------
@@ -113,28 +120,48 @@ class Tracer(TraceQueryMixin):
         """
         active = self._active_cache.get(category)
         if active is None:
-            active = self._active_cache[category] = self.is_enabled(category)
+            active = self._active_cache[category] = self._wanted(category)
         if not active:
             return
         if detail is None:
             detail = fields
         ev = TraceEvent(self.sim.now, category, node, detail)
-        self._store.append(ev)
+        if self._retain:
+            self._store.append(ev)
         for listener in self._listeners:
             listener(ev)
 
     def wants(self, category: str) -> bool:
-        """Cached :meth:`is_enabled` for hot call sites.
+        """Would an event in ``category`` be stored or heard right now?
 
-        High-volume producers (``Link.transmit``'s ``link`` records)
-        check this *before* building the event detail — a disabled
-        category then costs one dict lookup instead of a
-        ``packet.describe()`` plus a kwargs dict per frame.
+        High-volume producers (``Link.transmit``'s ``link`` records,
+        the PIM-DM data path's ``mcast.forward``, host delivery's
+        ``mcast.deliver``) check this *before* building the event
+        detail — an unwanted category then costs one dict lookup
+        instead of a kwargs dict per frame.  An enabled category is
+        unwanted only when the store keeps nothing and no listener
+        takes it.
         """
         active = self._active_cache.get(category)
         if active is None:
-            active = self._active_cache[category] = self.is_enabled(category)
+            active = self._active_cache[category] = self._wanted(category)
         return active
+
+    def _wanted(self, category: str) -> bool:
+        if not self.is_enabled(category):
+            return False
+        listened = self._listened
+        return self._retain or listened is None or category in listened
+
+    @property
+    def retain(self) -> bool:
+        """Does the store keep recorded events?  (Default True.)"""
+        return self._retain
+
+    @retain.setter
+    def retain(self, value: bool) -> None:
+        self._retain = bool(value)
+        self._active_cache.clear()
 
     def add_listener(
         self,
@@ -148,8 +175,11 @@ class Tracer(TraceQueryMixin):
         control-plane categories then costs one membership probe per
         data-plane event instead of a full callback.
         """
+        self._active_cache.clear()
         if categories is not None:
             cats = frozenset(categories)
+            if self._listened is not None:
+                self._listened.update(cats)
 
             def filtered(ev: TraceEvent, _fn=fn, _cats=cats) -> None:
                 if ev.category in _cats:
@@ -157,6 +187,7 @@ class Tracer(TraceQueryMixin):
 
             self._listeners.append(filtered)
             return
+        self._listened = None
         self._listeners.append(fn)
 
     def disable(self, category: str) -> None:

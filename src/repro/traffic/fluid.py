@@ -4,8 +4,9 @@ Represents each (S,G) flow as a piecewise-constant rate and integrates
 per-link byte counts **analytically** between protocol events instead
 of simulating every datagram.  A 10⁴-receiver EXP-S1 cell needs ~10⁷
 packet events per simulated minute in packet mode; fluid mode replaces
-them with one O(tree) rate recomputation per protocol-event timestamp,
-which is what makes 10⁶-receiver cells tractable (ROADMAP item 2).
+them with one rate recomputation per protocol-event timestamp, whose
+cost follows what the timestamp's events changed rather than the size
+of the tree — which is what makes 10⁶-receiver cells tractable.
 
 How it works
 ------------
@@ -36,7 +37,7 @@ How it works
   table reflects every same-timestamp state change; direct link
   mutations (``set_down`` without a fault plan) are caught by
   ``Link.add_on_change``.  ``recomputes`` counts these boundary events.
-  A recomputation that rebuilds the installed table changes nothing.
+  A recomputation that reproduces the installed table changes nothing.
   Only when the table differs is the constant-rate segment that ends
   here integrated, once, with the *old* table (no rate changed strictly
   inside it), and the new table installed; a reader mid-segment calls
@@ -44,13 +45,27 @@ How it works
   the ``fluid`` trace category whenever a link's rate changes, so
   offline analysis can still see tree boundaries.
 
+* **Incremental recomputation.**  Each emitting flow keeps its walk: a
+  root visit for the source, then its link visits in BFS order, each
+  holding its plan operations, the visits it queued, and the link and
+  node names it read.  Every event the listener hears marks its node
+  dirty (quiet ones too, though they schedule nothing), and every
+  ``Link.add_on_change`` marks its link.  A recomputation re-evaluates
+  the roots, the visits that read a dirty mark (a dirty host also
+  dirties its current link, which catches a host that just attached)
+  and the visits that read state off the tree (a home agent's tunnel
+  relay), keeps each child subtree whose visit arguments are unchanged,
+  and re-folds only the table entries whose operations changed — over
+  their contributions in flow order, then BFS order, as the full walk
+  sums them, so every rate equals the full walk's float for float.
+
 See ``docs/TRAFFIC.md`` for the packet-vs-fluid tolerance contract.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from ..mipv6.config import DeliveryMode
@@ -68,8 +83,10 @@ __all__ = ["FluidModel", "FluidSource", "FluidOnOffSource", "DEFAULT_PROBE_FACTO
 DEFAULT_PROBE_FACTOR = 100.0
 
 #: trace events in the subscribed categories that recur per-packet or
-#: periodically without changing any forwarding state — ignoring them
-#: keeps recomputation off the probe/report fast paths
+#: periodically without changing any forwarding state — they schedule
+#: no recomputation, which keeps it off the probe/report fast paths, but
+#: still mark their node dirty (a host's MLD ``join``/``leave`` changes
+#: what the visit of its link delivers)
 _QUIET_EVENTS = frozenset(
     {
         # periodic control chatter
@@ -283,9 +300,23 @@ class FluidModel(TrafficModel):
         self.analytic_bytes = 0.0
         self.analytic_packets = 0.0
         self.recomputes = 0
+        #: link visits evaluated, over all recomputations
+        self.visits_evaluated = 0
         # out-of-cycle probe dedup: flows already resynced at _resync_at
         self._resync_at = -1.0
         self._resync_flows: set = set()
+        # the walk cache (see "Incremental recomputation" above)
+        self._round = 0
+        #: emitting flow -> the root visit of its walk
+        self._walks: Dict[FluidSource, _Visit] = {}
+        #: table slot -> {visit: its contributions, in operation order}
+        self._contrib: Dict[tuple, Dict[_Visit, list]] = {}
+        #: link or node name -> the visits that read it
+        self._readers: Dict[object, set] = {}
+        #: links and node names changed since the last recomputation
+        self._dirty: set = set()
+        #: visits that read state off the tree: evaluated every time
+        self._volatile: set = set()
 
     # ------------------------------------------------------------------
     # TrafficModel interface
@@ -360,6 +391,7 @@ class FluidModel(TrafficModel):
         self._touch()
 
     def _on_trace(self, event) -> None:
+        self._dirty.add(event.node)
         kind = event.detail.get("event")
         if kind in _QUIET_EVENTS:
             return
@@ -413,8 +445,9 @@ class FluidModel(TrafficModel):
         if src.emitting:
             src._send_one()
 
-    def _on_link_change(self, _link) -> None:
+    def _on_link_change(self, link) -> None:
         if self.net is not None:
+            self._dirty.add(link)
             self._touch()
 
     def _touch(self) -> None:
@@ -462,25 +495,70 @@ class FluidModel(TrafficModel):
     # ------------------------------------------------------------------
     def _recompute(self) -> None:
         self.recomputes += 1
-        plan = _RatePlan()
-        for src in self.flows:
-            if src.emitting:
-                self._plan_flow(src, plan)
-        counters = plan.counter_rates()
-        if (
-            plan.links == self._link_rates
-            and counters == self._counter_rates
-            and plan.deliveries == self._delivery_rates
-            and plan.losses == self._loss_rates
-        ):
+        self._round += 1
+        touched: Dict[tuple, None] = {}
+        work = set(self._volatile)
+        for rank, src in enumerate(self.flows):
+            root = self._walks.get(src)
+            if not src.emitting:
+                if root is not None:
+                    del self._walks[src]
+                    self._drop(root, touched)
+            elif root is None:
+                root = self._walks[src] = _Visit(src, None, rank)
+                self._grow(root, touched)
+            else:
+                work.add(root)  # no mark tracks the source's own state
+        readers, nodes = self._readers, self.net.nodes
+        for mark in self._dirty:
+            work.update(readers.get(mark, ()))
+            node = nodes.get(mark)
+            if node is not None and not node.is_router:
+                # a host that just attached is not yet among the names
+                # its new link's visits read
+                for iface in node.interfaces:
+                    if iface.link is not None:
+                        work.update(readers.get(iface.link, ()))
+        self._dirty.clear()
+        for visit in sorted((v for v in work if v.alive), key=_position):
+            # an ancestor re-evaluated earlier in this loop may have
+            # dropped or regrown it
+            if visit.alive and visit.stamp != self._round:
+                self._reevaluate(visit, touched)
+        if touched:
+            self._install(touched)
+
+    def _install(self, touched: Dict[tuple, None]) -> None:
+        """Re-fold every touched slot and install the tables that
+        changed.  A recomputation that reproduces the installed table
+        changes nothing; otherwise the constant-rate segment that ends
+        here is integrated with the old table first."""
+        links = _TableEdit(self._link_rates)
+        counters = _TableEdit(self._counter_rates)
+        deliveries = _TableEdit(self._delivery_rates)
+        losses = _TableEdit(self._loss_rates)
+        ready = False  # some receiver's delivery rate went 0 -> positive
+        for slot in touched:
+            value = self._fold(slot)
+            kind = slot[0]
+            if kind == "link":
+                links.put_in(slot[1], slot[2], value)
+            elif kind == "deliver":
+                old = deliveries.table.get(slot[1])
+                if deliveries.put(slot[1], value) and value is not None:
+                    ready = ready or (value > 0.0 and (old is None or old <= 0.0))
+            elif kind == "loss":
+                losses.put(slot[1], value)
+            else:
+                counters.put_in(slot[:2], slot[2], value)
+        if not (links.copied or counters.copied or deliveries.copied or losses.copied):
             return  # the installed table still holds: the segment goes on
         self.sync()  # close the constant-rate segment with the old table
         old_rates = self._link_rates
-        old_deliveries = self._delivery_rates
-        self._link_rates = plan.links
-        self._counter_rates = counters
-        self._delivery_rates = dict(plan.deliveries)
-        self._loss_rates = dict(plan.losses)
+        self._link_rates = links.table
+        self._counter_rates = counters.table
+        self._delivery_rates = deliveries.table
+        self._loss_rates = losses.table
         self._emit_boundaries(old_rates, self._link_rates)
         # A receiver's delivery rate went 0 -> positive: the tree just
         # became ready for it (graft completed / oif added).  This is
@@ -488,10 +566,7 @@ class FluidModel(TrafficModel):
         # fire an out-of-cycle probe to give the receiver app its first
         # real delivery now — span/app-derived join delays otherwise
         # quantize to the probe cadence.
-        if any(
-            rate > 0.0 and old_deliveries.get(host, 0.0) <= 0.0
-            for host, rate in self._delivery_rates.items()
-        ):
+        if ready:
             self._request_resync()
 
     def _emit_boundaries(self, old, new) -> None:
@@ -514,8 +589,174 @@ class FluidModel(TrafficModel):
                     prev=round(before, 6),
                 )
 
-    # -- per-flow planning ---------------------------------------------
-    def _plan_flow(self, src: FluidSource, plan: "_RatePlan") -> None:
+    # -- the walk cache ------------------------------------------------
+    def _grow(self, visit: "_Visit", touched) -> None:
+        """Evaluate ``visit`` and every visit below it afresh."""
+        pending = [visit]
+        for fresh in pending:  # grows while it is walked: BFS order
+            fresh.ops, child_args, fresh.reads, fresh.volatile = self._evaluate(fresh)
+            fresh.stamp = self._round
+            self._index(fresh)
+            self._assert(fresh, touched)
+            fresh.children = [_Visit(args, fresh) for args in child_args]
+            pending.extend(fresh.children)
+
+    def _reevaluate(self, visit: "_Visit", touched) -> None:
+        """Evaluate a visit again; keep each child subtree whose visit
+        arguments are unchanged."""
+        ops, child_args, reads, volatile = self._evaluate(visit)
+        visit.stamp = self._round
+        if reads != visit.reads or volatile != visit.volatile:
+            self._unindex(visit)
+            visit.reads, visit.volatile = reads, volatile
+            self._index(visit)
+        if ops != visit.ops:
+            self._retract(visit, touched)
+            visit.ops = ops
+            self._assert(visit, touched)
+        old = visit.children
+        if len(old) == len(child_args) and all(
+            child.args == args for child, args in zip(old, child_args)
+        ):
+            return
+        spare: Dict[tuple, List[_Visit]] = {}
+        for child in old:
+            spare.setdefault(child.args, []).append(child)
+        children, grown = [], []
+        for args in child_args:
+            same = spare.get(args)
+            if same:
+                children.append(same.pop(0))
+            else:
+                child = _Visit(args, visit)
+                children.append(child)
+                grown.append(child)
+        visit.children = children
+        for rest in spare.values():
+            for child in rest:
+                self._drop(child, touched)
+        for child in grown:
+            self._grow(child, touched)
+
+    def _drop(self, visit: "_Visit", touched) -> None:
+        """Retract ``visit`` and its whole subtree."""
+        pending = [visit]
+        for gone in pending:
+            gone.alive = False
+            self._retract(gone, touched)
+            self._unindex(gone)
+            pending.extend(gone.children)
+
+    def _index(self, visit: "_Visit") -> None:
+        readers = self._readers
+        for mark in visit.reads:
+            found = readers.get(mark)
+            if found is None:
+                readers[mark] = {visit}
+            else:
+                found.add(visit)
+        if visit.volatile:
+            self._volatile.add(visit)
+
+    def _unindex(self, visit: "_Visit") -> None:
+        readers = self._readers
+        for mark in visit.reads:
+            readers[mark].discard(visit)
+        self._volatile.discard(visit)
+
+    def _assert(self, visit: "_Visit", touched) -> None:
+        contrib = self._contrib
+        for slot, value in visit.ops:
+            by_visit = contrib.get(slot)
+            if by_visit is None:
+                contrib[slot] = {visit: [value]}
+            else:
+                values = by_visit.get(visit)
+                if values is None:
+                    by_visit[visit] = [value]
+                else:
+                    values.append(value)
+            touched[slot] = None
+
+    def _retract(self, visit: "_Visit", touched) -> None:
+        contrib = self._contrib
+        for slot, _value in visit.ops:
+            by_visit = contrib.get(slot)
+            if by_visit is not None and by_visit.pop(visit, None) is not None:
+                if not by_visit:
+                    del contrib[slot]
+            touched[slot] = None
+
+    def _fold(self, slot: tuple):
+        """The slot's value as the full walk sums it — its contributions
+        in flow order, then BFS order, each visit's in operation order —
+        or None when nothing contributes."""
+        by_visit = self._contrib.get(slot)
+        if by_visit is None:
+            return None
+        parts = by_visit.values()
+        # float addition commutes, so the order matters from three terms on
+        if len(parts) > 2 or (len(parts) == 2 and sum(map(len, parts)) > 2):
+            parts = [by_visit[visit] for visit in sorted(by_visit, key=_position)]
+        if slot[0] == "link":
+            brate = prate = 0.0
+            for values in parts:
+                for b, p in values:
+                    brate += b
+                    prate += p
+            return brate, prate
+        total = 0.0
+        for values in parts:
+            for value in values:
+                total += value
+        return total
+
+    # -- the planner ---------------------------------------------------
+    def _evaluate(self, visit: "_Visit"):
+        """One step of a flow's walk, applying the packet-mode
+        forwarding rules analytically: ``(ops, child_args, reads,
+        volatile)``.  A root visit plans the source and reads nothing
+        the dirty set tracks (it is evaluated at every recomputation);
+        a link visit reads its link and the nodes on it.  ``volatile``
+        marks a visit that read state off the tree (a home agent's
+        tunnel relay), which is then evaluated at every recomputation
+        too."""
+        ops = _Ops()
+        children: List[tuple] = []
+        if visit.parent is None:
+            self._plan_source(visit.args, ops, children)
+            return ops, children, (), False
+        self.visits_evaluated += 1
+        link, sender, key, group, b, p, l, hops = visit.args
+        if link is None or hops <= 0:
+            return ops, children, (), False
+        if not link.up:
+            ops.lose("link-down", b)
+            return ops, children, (link,), False
+        ops.charge(link.name, "mcast_data", b, p)
+        keep = 1.0 - link.loss_rate
+        if keep < 1.0:
+            ops.lose("link-loss", b * (1.0 - keep))
+        rb, rp, rl = b * keep, p * keep, l * keep
+        reads = [link]
+        relays = False
+        for iface in link.interfaces:
+            node = iface.node
+            if node is sender:
+                continue
+            reads.append(node.name)
+            if node.crashed:
+                continue
+            ops.count("load", node, "packets_processed", rl)
+            if node.is_router:
+                relays |= self._router_receive(
+                    node, iface, key, group, rb, rp, rl, hops - 1, children, ops
+                )
+            elif group in getattr(node, "joined_groups", ()):
+                ops.deliver(node.name, rb)
+        return ops, children, tuple(reads), relays
+
+    def _plan_source(self, src: FluidSource, ops: "_Ops", children) -> None:
         node = src.node
         pkt_rate = 1.0 / src.packet_interval
         inner_bytes = src.payload_bytes + IPV6_HEADER_BYTES
@@ -527,52 +768,46 @@ class FluidModel(TrafficModel):
         if not isinstance(node, MobileNode):
             iface = next((i for i in node.interfaces if i.attached), None)
             if iface is None:
-                plan.losses["handoff"] += brate
+                ops.lose("handoff", brate)
                 return
-            self._plan_tree(
-                node.primary_address(), src.group, iface.link, node,
-                brate, pkt_rate, lrate, plan,
-            )
+            source, link = node.primary_address(), iface.link
+        elif not node.attached:
+            ops.lose("handoff", brate)
+            ops.count("attr", node, "handoff_losses", lrate)
             return
-
-        if not node.attached:
-            plan.losses["handoff"] += brate
-            plan.add_counter("attr", node, "handoff_losses", lrate)
-            return
-        link = node.iface.link
-        if node.at_home:
-            self._plan_tree(
-                node.home_address, src.group, link, node,
-                brate, pkt_rate, lrate, plan,
-            )
-        elif node.care_of_address is None:
-            # Stale (erroneous) source: RPF checks stop it naturally.
-            self._plan_tree(
-                node._active_source, src.group, link, node,
-                brate, pkt_rate, lrate, plan,
-            )
-        elif node.send_mode is DeliveryMode.LOCAL:
-            self._plan_tree(
-                node.care_of_address, src.group, link, node,
-                brate, pkt_rate, lrate, plan,
-            )
         else:
-            self._plan_reverse_tunnel(src, node, brate, pkt_rate, lrate, plan)
+            link = node.iface.link
+            if node.at_home:
+                source = node.home_address
+            elif node.care_of_address is None:
+                # Stale (erroneous) source: RPF checks stop it naturally.
+                source = node._active_source
+            elif node.send_mode is DeliveryMode.LOCAL:
+                source = node.care_of_address
+            else:
+                self._plan_reverse_tunnel(
+                    src, node, brate, pkt_rate, lrate, ops, children
+                )
+                return
+        children.append(
+            (link, node, sg_key(source, src.group), Address(src.group),
+             brate, pkt_rate, lrate, _MAX_HOPS)
+        )
 
     def _plan_reverse_tunnel(
-        self, src, node, brate, prate, lrate, plan
+        self, src, node, brate, prate, lrate, ops, children
     ) -> None:
         """Figure 4 sending: MN --unicast tunnel--> HA --> home tree."""
-        plan.add_counter("load", node, "encapsulations", lrate)
+        ops.count("load", node, "encapsulations", lrate)
         endpoint, factor = self._plan_unicast_path(
-            node, node.home_agent_address, brate, prate, lrate, plan
+            node, node.home_agent_address, brate, prate, lrate, ops
         )
         if endpoint is None or factor <= 0.0:
             return
         # HomeAgent._on_reverse_tunnel: decapsulate, re-emit the inner
         # datagram on the home link, and run it through its own PIM
         # engine as if received on the home interface.
-        plan.add_counter("attr", endpoint, "reverse_tunneled", lrate * factor)
+        ops.count("attr", endpoint, "reverse_tunneled", lrate * factor)
         home_iface = getattr(endpoint, "home_iface_for", lambda _a: None)(
             node.home_address
         )
@@ -580,98 +815,60 @@ class FluidModel(TrafficModel):
             return
         b, p, l = brate * factor, prate * factor, lrate * factor
         key = sg_key(node.home_address, src.group)
-        queue = deque()
         self._router_receive(
-            endpoint, home_iface, key, src.group, b, p, l, _MAX_HOPS, queue, plan
+            endpoint, home_iface, key, src.group, b, p, l, _MAX_HOPS, children, ops
         )
-        queue.append((home_iface.link, endpoint, key, src.group, b, p, l, _MAX_HOPS))
-        self._drain_tree(queue, plan)
-
-    def _plan_tree(
-        self, source, group, first_link, sender_node, brate, prate, lrate, plan
-    ) -> None:
-        queue = deque()
-        queue.append(
-            (first_link, sender_node, sg_key(source, group), Address(group),
-             brate, prate, lrate, _MAX_HOPS)
-        )
-        self._drain_tree(queue, plan)
-
-    def _drain_tree(self, queue, plan) -> None:
-        losses, processed = plan.losses, plan.processed
-        while queue:
-            link, sender, key, group, b, p, l, hops = queue.popleft()
-            if link is None or hops <= 0:
-                continue
-            if not link.up:
-                losses["link-down"] += b
-                continue
-            plan.charge(link.name, "mcast_data", b, p)
-            keep = 1.0 - link.loss_rate
-            if keep < 1.0:
-                losses["link-loss"] += b * (1.0 - keep)
-            rb, rp, rl = b * keep, p * keep, l * keep
-            for iface in link.interfaces:
-                node = iface.node
-                if node is sender or node.crashed:
-                    continue
-                if rl > 0.0:
-                    processed[node] = processed.get(node, 0.0) + rl
-                if node.is_router:
-                    self._router_receive(
-                        node, iface, key, group, rb, rp, rl, hops - 1, queue, plan
-                    )
-                elif group in getattr(node, "joined_groups", ()):
-                    plan.deliveries[node.name] += rb
+        children.append((home_iface.link, endpoint, key, src.group, b, p, l, _MAX_HOPS))
 
     def _router_receive(
-        self, router, iface, key, group, b, p, l, hops, queue, plan
-    ) -> None:
+        self, router, iface, key, group, b, p, l, hops, children, ops
+    ) -> bool:
         """Apply the packet-mode forwarding rules of
         ``PimDmEngine.on_multicast_data`` analytically; ``key`` is the
-        flow's :func:`~repro.pimdm.state.sg_key`."""
+        flow's :func:`~repro.pimdm.state.sg_key`.  True when the router
+        relayed the flow through its home-agent tunnels."""
         pim = getattr(router, "pim", None)
         if pim is None:
-            return
+            return False
         entry = pim.entries.get(key)
         if entry is None:
             # No (S,G) state: the next real probe creates it (and the
             # entry-created event triggers a recomputation), exactly
             # like the first datagram does in packet mode.
-            return
+            return False
         if iface is not entry.upstream_iface:
             # Non-RPF arrival: discarded (assert resolution is driven by
             # the real probes).
-            return
+            return False
         outs = pim.outgoing_ifaces(entry)
         if outs and hops > 0:
-            if l > 0.0:
-                forwarded = plan.forwarded
-                forwarded[router] = forwarded.get(router, 0.0) + l * len(outs)
+            ops.count("load", router, "packets_forwarded", l * len(outs))
             for oif in outs:
                 if oif.link is not None:
-                    queue.append((oif.link, router, key, group, b, p, l, hops))
+                    children.append((oif.link, router, key, group, b, p, l, hops))
         node_groups = pim.node_groups
         if node_groups and group in node_groups:
-            self._plan_ha_relay(router, group, b, p, l, plan)
+            self._plan_ha_relay(router, group, b, p, l, ops)
+            return True
+        return False
 
-    def _plan_ha_relay(self, router, group, b, p, l, plan) -> None:
+    def _plan_ha_relay(self, router, group, b, p, l, ops) -> None:
         """HomeAgent._relay_group_traffic: tunnel a copy to every
         binding-cache subscriber of the group (Figure 2 delivery)."""
         cache = getattr(router, "binding_cache", None)
         if cache is None:
             return
         for entry in cache.subscribers_of(group):
-            plan.add_counter("load", router, "encapsulations", l)
-            plan.add_counter("attr", router, "tunneled_to_mobiles", l)
+            ops.count("load", router, "encapsulations", l)
+            ops.count("attr", router, "tunneled_to_mobiles", l)
             endpoint, factor = self._plan_unicast_path(
-                router, entry.care_of_address, b, p, l, plan
+                router, entry.care_of_address, b, p, l, ops
             )
             if endpoint is not None and factor > 0.0:
-                plan.add_counter("load", endpoint, "decapsulations", l * factor)
-                plan.deliveries[endpoint.name] += b * factor
+                ops.count("load", endpoint, "decapsulations", l * factor)
+                ops.deliver(endpoint.name, b * factor)
 
-    def _plan_unicast_path(self, from_node, dst, b, p, l, plan):
+    def _plan_unicast_path(self, from_node, dst, b, p, l, ops):
         """Walk the tunneled unicast route from ``from_node`` to ``dst``
         exactly as ``route_and_send``/``forward_unicast`` would, charging
         every traversed link its data and tunnel-header bytes.  Returns ``(endpoint_node, delivery_factor)``
@@ -683,7 +880,7 @@ class FluidModel(TrafficModel):
         factor = 1.0
         for _hop in range(_MAX_HOPS):
             if getattr(node, "crashed", False):
-                plan.losses["node-crashed"] += b * factor
+                ops.lose("node-crashed", b * factor)
                 return None, 0.0
             link = None
             target = None
@@ -701,28 +898,28 @@ class FluidModel(TrafficModel):
                 elif not node.is_router:
                     link, target = self._default_gateway(node)
             if link is None:
-                plan.losses["no-route"] += b * factor
+                ops.lose("no-route", b * factor)
                 return None, 0.0
             if not link.up:
-                plan.losses["link-down"] += b * factor
+                ops.lose("link-down", b * factor)
                 return None, 0.0
             if target is None:
-                plan.losses["nd-failure"] += b * factor
+                ops.lose("nd-failure", b * factor)
                 return None, 0.0
-            plan.charge(link.name, "mcast_data", b * factor, p * factor)
-            plan.charge(
+            ops.charge(link.name, "mcast_data", b * factor, p * factor)
+            ops.charge(
                 link.name, "tunnel_overhead", IPV6_HEADER_BYTES * p * factor, 0.0
             )
             factor *= 1.0 - link.loss_rate
             nxt = target.node
             if getattr(nxt, "crashed", False):
                 return None, 0.0
-            plan.add_counter("load", nxt, "packets_processed", l * factor)
+            ops.count("load", nxt, "packets_processed", l * factor)
             if nxt.owns_address(dst) or nxt.intercepts(dst):
                 return nxt, factor
             if not nxt.is_router:
                 return None, 0.0
-            plan.add_counter("load", nxt, "packets_forwarded", l * factor)
+            ops.count("load", nxt, "packets_forwarded", l * factor)
             node = nxt
         return None, 0.0
 
@@ -746,39 +943,113 @@ class FluidModel(TrafficModel):
         return None, None
 
 
-class _RatePlan:
-    """Accumulator for one rate-table recomputation."""
+class _Visit:
+    """One step of a flow's cached walk.
 
-    __slots__ = ("links", "deliveries", "losses", "counters", "processed", "forwarded")
+    A link visit's ``args`` are what the walk queued for it, ``(link,
+    sender, key, group, brate, prate, lrate, hops)``; a flow's root
+    visit has the flow's source as ``args`` and no parent.  ``ops`` are
+    the visit's plan operations, ``children`` the visits it queued, in
+    walk order, and ``reads`` the link and the names of the nodes on it
+    whose state the evaluation read — the marks that make it dirty.
+    """
 
-    def __init__(self) -> None:
-        self.links: Dict[str, Dict[str, Tuple[float, float]]] = {}
-        self.deliveries: Dict[str, float] = defaultdict(float)
-        self.losses: Dict[str, float] = defaultdict(float)
-        #: (kind, key) -> {obj: rate}, each filled in visit order
-        self.counters: Dict[Tuple[str, str], Dict[object, float]] = {}
-        # the two per-hop counters, added to inline by the tree walk
-        self.processed = self.counters[("load", "packets_processed")] = {}
-        self.forwarded = self.counters[("load", "packets_forwarded")] = {}
+    __slots__ = (
+        "args", "parent", "rank", "children", "ops", "reads", "volatile",
+        "alive", "stamp",
+    )
+
+    def __init__(self, args, parent: Optional["_Visit"], rank: int = 0) -> None:
+        self.args = args
+        self.parent = parent
+        #: a root's flow index: flows fold in this order
+        self.rank = rank
+        self.children: List[_Visit] = []
+        self.ops: List[tuple] = []
+        self.reads: tuple = ()
+        self.volatile = False
+        self.alive = True
+        #: the recomputation that last evaluated the visit
+        self.stamp = 0
+
+
+def _position(visit: _Visit) -> tuple:
+    """The visit's place in the full walk: its flow, then BFS order —
+    depth, then the child indices down from the root."""
+    path = []
+    while visit.parent is not None:
+        parent = visit.parent
+        path.append(parent.children.index(visit))
+        visit = parent
+    path.reverse()
+    return visit.rank, len(path), path
+
+
+class _Ops(list):
+    """One visit's plan operations as ``(slot, value)`` pairs.
+
+    A slot names one entry of the rate table: ``("link", link,
+    category)`` (value ``(bytes/s, packets/s)``), ``(kind, key, obj)``
+    for a counter top-up (``kind`` "load" or "attr"), ``("deliver",
+    host)`` or ``("loss", reason)``.
+    """
+
+    __slots__ = ()
 
     def charge(self, link_name, category, brate, prate) -> None:
-        cats = self.links.get(link_name)
-        if cats is None:
-            cats = self.links[link_name] = {}
-        prev = cats.get(category)
-        if prev is None:
-            cats[category] = (brate, prate)
+        self.append((("link", link_name, category), (brate, prate)))
+
+    def count(self, kind, obj, key, rate) -> None:
+        if rate > 0.0:
+            self.append(((kind, key, obj), rate))
+
+    def lose(self, reason, rate) -> None:
+        self.append((("loss", reason), rate))
+
+    def deliver(self, host_name, rate) -> None:
+        self.append((("deliver", host_name), rate))
+
+
+class _TableEdit:
+    """Copy-on-write changes to one installed table (flat, or a dict of
+    dicts): the model's dicts are replaced, never mutated, so a reader
+    holding the old table keeps what it saw."""
+
+    __slots__ = ("table", "copied", "_fresh")
+
+    def __init__(self, table: dict) -> None:
+        self.table = table
+        self.copied = False
+        self._fresh: set = set()  # outer keys whose inner dict is a copy
+
+    def _own(self) -> dict:
+        if not self.copied:
+            self.table = dict(self.table)
+            self.copied = True
+        return self.table
+
+    def put(self, key, value) -> bool:
+        """Set ``key`` (drop it on None); True when that changed it."""
+        if self.table.get(key) == value:
+            return False
+        table = self._own()
+        if value is None:
+            del table[key]
         else:
-            cats[category] = (prev[0] + brate, prev[1] + prate)
+            table[key] = value
+        return True
 
-    def add_counter(self, kind, obj, key, rate) -> None:
-        if rate <= 0.0:
+    def put_in(self, outer, key, value) -> None:
+        rates = self.table.get(outer)
+        if (None if rates is None else rates.get(key)) == value:
             return
-        rates = self.counters.get((kind, key))
-        if rates is None:
-            rates = self.counters[(kind, key)] = {}
-        rates[obj] = rates.get(obj, 0.0) + rate
-
-    def counter_rates(self) -> Dict[Tuple[str, str], Dict[object, float]]:
-        """The non-empty counter dicts: the table's counter part."""
-        return {kind_key: rates for kind_key, rates in self.counters.items() if rates}
+        table = self._own()
+        if rates is None or outer not in self._fresh:
+            rates = table[outer] = {} if rates is None else dict(rates)
+            self._fresh.add(outer)
+        if value is None:
+            del rates[key]
+            if not rates:
+                del table[outer]
+        else:
+            rates[key] = value

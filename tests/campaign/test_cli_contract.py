@@ -153,6 +153,12 @@ class TestBadArguments:
             (["sweep", "fluid", "--topo-model", "fattree"],
              "the fluid grid runs hier topologies only, got "
              "--topo-model fattree"),
+            (["sweep", "fluid", "--mobility", "0", "0.5"],
+             "the fluid grid runs one mobility per study, got --mobility 0.0 0.5"),
+            (["sweep", "fluid", "--traffic-model", "packet"],
+             "the fluid grid runs both traffic engines, got --traffic-model packet"),
+            (["sweep", "fluid", "--traffic-model", "fluid"],
+             "the fluid grid runs both traffic engines, got --traffic-model fluid"),
             (["sweep", "timers", "--repeats", "0"], "--repeats must be >= 1"),
             (["timers", "--repeats", "0"], "--repeats must be >= 1, got 0"),
             (["timers", "--repeats", "-2"], "--repeats must be >= 1, got -2"),

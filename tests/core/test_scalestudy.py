@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignRunner
+from repro.core.fluidstudy import fluid_cell
 from repro.core.scalestudy import (
     DEFAULT_SIZES,
     render_scale_report,
@@ -21,6 +22,8 @@ from repro.core.scalestudy import (
     scale_cell,
     scale_grid,
 )
+from repro.invariants.pimdm import PimDmOracle
+from repro.sim import Tracer
 
 TINY = [{"depth": 1, "fanout": 3}, {"depth": 2, "fanout": 3}]
 
@@ -84,6 +87,69 @@ class TestScaleCell:
         )
         assert row["moves"] > 0
         assert row["control_packets"]["mipv6"] > 0
+
+
+_RETAIN = Tracer.retain
+
+
+def _cell_with_retention(monkeypatch, keep, cell, **kw):
+    """Run ``cell``; with ``keep`` its tracer ignores the runner's
+    request to keep nothing.  Returns the canonical result and the
+    number of stored trace events."""
+    tracers = []
+
+    def set_retain(tracer, value):
+        tracers.append(tracer)
+        if not keep:
+            _RETAIN.fset(tracer, value)
+
+    monkeypatch.setattr(Tracer, "retain", property(_RETAIN.fget, set_retain))
+    result = cell(**kw)
+    (tracer,) = tracers
+    return json.dumps(result, sort_keys=True), len(tracer.events)
+
+
+class TestTraceRetention:
+    """The cell runners read nothing back from their trace, so they
+    store none of it; listeners still hear their categories."""
+
+    @pytest.mark.parametrize(
+        "cell,kw",
+        [
+            (scale_cell, dict(receivers=10, mobility=1.0)),
+            (scale_cell, dict(receivers=10, mobility=1.0, traffic_model="fluid")),
+            (fluid_cell, dict(receivers=10, mobility=1.0, probe_interval=2.0)),
+        ],
+        ids=["scale-packet", "scale-fluid", "fluid-cell"],
+    )
+    def test_result_is_identical_with_and_without_retention(
+        self, monkeypatch, cell, kw
+    ):
+        kw = dict(
+            model_params={"depth": 2, "fanout": 2}, warmup=4.0, duration=6.0, **kw
+        )
+        kept, stored = _cell_with_retention(monkeypatch, True, cell, **kw)
+        dropped, none = _cell_with_retention(monkeypatch, False, cell, **kw)
+        assert stored > 0 and none == 0
+        assert kept == dropped
+
+    def test_invariant_checked_cell_feeds_the_pimdm_oracles(self, monkeypatch):
+        forwards = []
+        on_forward = PimDmOracle._on_forward
+
+        def spy(self, event):
+            forwards.append(event)
+            on_forward(self, event)
+
+        monkeypatch.setattr(PimDmOracle, "_on_forward", spy)
+        scale_cell(
+            model_params={"depth": 2, "fanout": 2},
+            receivers=6,
+            warmup=4.0,
+            duration=6.0,
+            check_invariants=True,
+        )
+        assert forwards and all(ev.category == "mcast.forward" for ev in forwards)
 
 
 class TestGridAndSweep:

@@ -94,6 +94,46 @@ class TestRingCapacity:
         assert len(tr.events) == 7
 
 
+class TestRetention:
+    def test_retained_store_wants_every_enabled_category(self):
+        _, tr = make(disabled_categories=["link"])
+        assert tr.retain
+        assert tr.wants("mcast.forward") and tr.wants("pim")
+        assert not tr.wants("link")
+
+    def test_listened_only_categories_are_heard_not_stored(self):
+        _, tr = make()
+        heard = []
+        tr.add_listener(heard.append, categories=("pim",))
+        tr.retain = False
+        assert tr.wants("pim")
+        assert not tr.wants("mcast.forward")
+        tr.record("pim", "A", event="hello")
+        tr.record("mcast.forward", "A", uid=1)
+        assert [ev.category for ev in heard] == ["pim"]
+        assert tr.events == []
+
+    def test_neither_stored_nor_listened_is_unwanted(self):
+        _, tr = make()
+        tr.retain = False
+        assert not tr.wants("mcast.deliver")
+        tr.record("mcast.deliver", "R1", seqno=0)
+        assert tr.events == []
+        tr.retain = True  # the memo follows the setting
+        assert tr.wants("mcast.deliver")
+
+    def test_unfiltered_listener_wants_everything(self):
+        _, tr = make(disabled_categories=["link"])
+        tr.retain = False
+        assert not tr.wants("mcast.forward")
+        heard = []
+        tr.add_listener(heard.append)
+        assert tr.wants("mcast.forward")
+        assert not tr.wants("link")  # a disabled category stays off
+        tr.record("mcast.forward", "A")
+        assert len(heard) == 1 and tr.events == []
+
+
 class TestQueries:
     def _populate(self):
         sim, tr = make()

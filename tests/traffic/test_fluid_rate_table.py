@@ -28,7 +28,9 @@ from repro.core import (
     PaperScenario,
     ScenarioConfig,
 )
+from repro.core.fluidstudy import fluid_cell
 from repro.core.goldens import CANNED_RUNS
+from repro.core.scalestudy import scale_cell
 from repro.faults import FaultInjector, FaultPlan, link_down, loss_burst, node_crash
 from repro.mipv6.config import DeliveryMode
 from repro.mipv6.mobile_node import MobileNode
@@ -375,3 +377,184 @@ def test_random_schedules(join_time, move_times, move_links, loss):
     sc.run_until(110.0)
     sc.finish()
     checker.assert_clean()
+
+
+# ----------------------------------------------------------------------
+# generated topologies, built as the EXP-S2 runner builds them
+# ----------------------------------------------------------------------
+def _cell_with(monkeypatch, wrap, cell=fluid_cell, **kw):
+    """Run a fluid ``cell`` with ``wrap(model)`` applied to its traffic
+    model before the model attaches; returns the result and the model."""
+    import repro.traffic as traffic
+
+    models = []
+    make = traffic.make_traffic_model
+
+    def wrapped(name, **model_kw):
+        model = make(name, **model_kw)
+        wrap(model)
+        models.append(model)
+        return model
+
+    monkeypatch.setattr(traffic, "make_traffic_model", wrapped)
+    result = cell(traffic_model="fluid", **kw)
+    (model,) = models
+    return result, model
+
+
+def _after_attach(model, hook):
+    """Run ``hook(net)`` once ``model`` has attached to its network."""
+    attach = model.attach
+
+    def attach_then(net):
+        attach(net)
+        hook(net)
+
+    model.attach = attach_then
+
+
+#: a 13-router hierarchy: LAN ``core`` joins r0000-r0002, each of which
+#: heads a trunk LAN (d0000-d0002) of three leaf routers; the sources
+#: sit on leaves d0003 and d0004, so both flows cross d0000 and core
+SMALL_CELL = dict(
+    model_params={"depth": 2, "fanout": 3},
+    receivers=24,
+    groups=2,
+    warmup=10.0,
+    duration=20.0,
+    packet_interval=0.05,
+    probe_interval=10.0,
+)
+
+GENERATED_CASES = {
+    "two-groups": (fluid_cell, dict(mobility=0.0), None, None),
+    "mobile": (fluid_cell, dict(mobility=1.0), None, None),
+    # a trunk both flows cross goes down and comes back
+    "trunk-down": (
+        fluid_cell,
+        dict(mobility=1.0),
+        link_down(14.0, "d0000", duration=6.0),
+        "d0000",
+    ),
+    # the router heading trunk d0001 crashes and restarts; the trunk
+    # rejoins the tree once the router has heard its downstream
+    # neighbors' Hellos again (30 s period)
+    "router-crash": (
+        fluid_cell,
+        dict(mobility=1.0, duration=50.0),
+        node_crash(13.0, "r0001", duration=8.0),
+        "d0001",
+    ),
+    # the EXP-S1 runner starts traffic halfway through the join phase,
+    # so the walks grow while receivers join links they already reach
+    "joins-during-traffic": (scale_cell, dict(mobility=1.0), None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATED_CASES))
+def test_generated_cells(monkeypatch, case):
+    cell, overrides, plan, cut = GENERATED_CASES[case]
+    checkers, carried = [], []
+
+    def check(model):
+        checkers.append(_TableChecker(model))
+        checked = model._recompute_event
+
+        def recompute():
+            checked()
+            carried.append((model.net.sim.now, cut in model._link_rates))
+
+        model._recompute_event = recompute
+        if plan:
+            _after_attach(model, lambda net: FaultInjector(net, FaultPlan(plan)).arm())
+
+    result, _model = _cell_with(
+        monkeypatch, check, cell, **{**SMALL_CELL, **overrides}
+    )
+    checkers[0].assert_clean()
+    assert result["traffic"]["flows"] == 2
+    assert (result["moves"] > 0) == (overrides["mobility"] > 0)
+    if plan:
+        start, end = plan[0].at, plan[-1].at
+        during = [on for t, on in carried if start <= t < end]
+        after = [on for t, on in carried if t >= end]
+        assert during and not any(during), "the fault left the link on the tree"
+        assert any(after), "the link never rejoined the tree"
+
+
+def test_generated_cell_membership_through_mld_alone(monkeypatch):
+    """A receiver leaves, then rejoins, through MLD alone, as a host
+    without Mobile IPv6 would, while another member of its group is on
+    its leaf link.  The leaf router's membership does not change, so
+    only the receiver's quiet ``leave``/``join`` events (which schedule
+    no recomputation) say that the link's visit changed; the other
+    receivers' handovers recompute the table meanwhile."""
+    checkers, picked = [], []
+
+    def leave_then_rejoin(model):
+        group = model.flows[0].group
+        members = {}
+        for node in model.net.nodes.values():
+            if group in getattr(node, "joined_groups", ()) and node.interfaces:
+                link = node.interfaces[0].link
+                members.setdefault(link.name, []).append(node)
+        shared = sorted(name for name, hosts in members.items() if len(hosts) > 1)
+        host = min(members[shared[0]], key=lambda node: node.name)
+        picked.append(host.name)
+        host.mld.leave(group)
+        model.net.sim.schedule(6.0, host.mld.join, group, label="test.mld-join")
+
+    def check(model):
+        checkers.append(_TableChecker(model))
+        _after_attach(
+            model,
+            lambda net: net.sim.schedule_at(
+                14.0, leave_then_rejoin, model, label="test.mld-leave"
+            ),
+        )
+
+    _cell_with(monkeypatch, check, **{**SMALL_CELL, "mobility": 1.0})
+    assert picked
+    checkers[0].assert_clean()
+
+
+def _link_visits(root):
+    count, pending = 0, list(root.children)
+    for visit in pending:
+        count += 1
+        pending.extend(visit.children)
+    return count
+
+
+def test_churn_cell_evaluates_a_fraction_of_full_walks(monkeypatch):
+    """The benchmark's ``churn-fluid`` job: 155 routers, 100 receivers
+    moving once each.  A full walk per recomputation would evaluate
+    every link visit of every emitting flow's tree; the cached walk
+    re-evaluates only the visits its events touched."""
+    walked = []
+
+    def count_full_walks(model):
+        recompute = model._recompute_event
+
+        def counted():
+            recompute()
+            walked.append(sum(_link_visits(r) for r in model._walks.values()))
+
+        model._recompute_event = counted
+
+    result, model = _cell_with(
+        monkeypatch,
+        count_full_walks,
+        model_params={"depth": 3, "fanout": 5},
+        receivers=100,
+        mobility=1.0,
+        warmup=10,
+        duration=12,
+        packet_interval=0.05,
+        payload_bytes=1000,
+        probe_interval=10.0,
+    )
+    assert result["moves"] == 100
+    full = sum(walked)
+    assert len(walked) == result["traffic"]["recomputes"]
+    assert 0 < model.visits_evaluated < full / 10, (model.visits_evaluated, full)
