@@ -83,7 +83,7 @@ def ha_load_mobiles_cell(
             40.0 + 0.1 * k, host.move_to, sc.paper.link("L6")
         )
     sc.run_until(45.0)
-    sc.traffic.sync()  # fluid counters integrate lazily: bring them to now
+    sc.traffic.sync()  # node load counters have no sync hook: bring them to now
     d = sc.paper.router("D")
     base_encap = d.load["encapsulations"]
     base_tunneled = d.tunneled_to_mobiles

@@ -81,12 +81,9 @@ class Interface:
     def send(self, packet: Ipv6Packet, l2_dst: Optional["Interface"] = None) -> None:
         """Transmit on the attached link; silently dropped when detached
         (the host is between links — mid-handoff packet loss)."""
-        if self.link is not None:
-            self.link.transmit(self, packet, l2_dst=l2_dst)
-
-    def deliver(self, packet: Ipv6Packet) -> None:
-        """Called by the link when a frame arrives."""
-        self.node.receive(packet, self)
+        link = self.link
+        if link is not None:
+            link.transmit(self, packet, l2_dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.link.name if self.link else "detached"

@@ -16,6 +16,16 @@ attached interface's addresses to the interface).  Mobile IPv6's
 home-agent intercept is modelled exactly the way the protocol does it:
 the HA registers the mobile node's home address on the home link as a
 *proxy* entry, so unicast frames for the MN resolve to the HA.
+
+A frame hop is :meth:`Link.transmit`, one kernel event per receiving
+interface queued with ``Simulator._push`` (no ``*args``/``**kwargs``
+packing per frame), then ``Link._deliver_one``, which hands the frame
+to ``Node.receive`` itself.  Both ends test attachment as
+``iface.link is self``, which holds exactly while the interface is in
+:attr:`Link.interfaces` (``Interface.attach``/``detach`` keep the two
+in step), so a flood costs O(k) in the link's population k, not
+O(k²).  The link's :class:`~repro.net.stats.LinkStats` is bound on
+its first charge (docs/PERFORMANCE.md, "Per-frame path").
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from ..sim import Simulator, Tracer
 from .addressing import Address, Prefix
 from .loss import BernoulliLoss
 from .packet import Ipv6Packet
-from .stats import NetworkStats
+from .stats import LinkStats, NetworkStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interface import Interface
@@ -49,9 +59,11 @@ class Link:
         loss_rate: float = 0.0,
         rng=None,
     ) -> None:
-        if delay < 0:
+        # written so that NaN fails: frame arrival times are queued
+        # with Simulator._push, which does not check them again
+        if not delay >= 0:
             raise ValueError("delay must be non-negative")
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
         self.sim = sim
         self.name = name
@@ -60,6 +72,9 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.tracer = tracer
         self.stats = stats
+        #: this link's counters in ``stats``, bound on the first charge
+        #: (binding at construction would list never-used links)
+        self._link_stats: Optional[LinkStats] = None
         #: retained so a loss model can be installed (or the loss rate
         #: mutated) after construction with a deterministic stream
         self._rng = rng
@@ -202,13 +217,13 @@ class Link:
         Serialization is FIFO per link: back-to-back packets queue
         behind each other at the link's bandwidth.
         """
-        if sender not in self.interfaces:
+        if sender.link is not self:
             # The sending interface detached (mobile node moved away)
             # before the send fired — account it like every other loss
             # path so handoff losses are not undercounted.
             self._drop("sender-detached", dst=str(packet.dst))
             return
-        if getattr(sender.node, "crashed", False):
+        if sender.node.crashed:
             # A crashed node transmits nothing — stray callbacks scheduled
             # before the crash (raw events, not cancellable timers) die here.
             self._drop("node-crashed", dst=str(packet.dst))
@@ -225,8 +240,13 @@ class Link:
             if l2_dst is None:
                 self._drop("nd-failure", dst=str(packet.dst))
                 return
-        if self.stats is not None:
-            self.stats.account(self.name, packet)
+        stats = self.stats
+        if stats is not None:
+            link_stats = self._link_stats
+            if link_stats is None:
+                link_stats = self._link_stats = stats.stats_for(self.name)
+            link_stats.account(packet)
+        size = packet.size_bytes
         tracer = self.tracer
         if tracer is not None and tracer.wants("link"):
             # wants() pre-filters before the describe()/kwargs cost:
@@ -236,53 +256,53 @@ class Link:
                 "link",
                 self.name,
                 packet=packet.describe(),
-                size=packet.size_bytes,
+                size=size,
                 sender=sender.node.name,
             )
 
-        tx_time = packet.size_bytes * 8 / self.bandwidth_bps
-        start = max(self.sim.now, self._busy_until)
+        sim = self.sim
+        tx_time = size * 8 / self.bandwidth_bps
+        start = max(sim.now, self._busy_until)
         self._busy_until = start + tx_time
         arrival = start + tx_time + self.delay
 
+        push = sim._push
+        deliver = self._deliver_one
+        label = self._rx_label
         if l2_dst is not None:
-            self.sim.schedule_at(
-                arrival, self._deliver_one, l2_dst, packet, label=self._rx_label
-            )
+            push(arrival, deliver, (l2_dst, packet), None, label)
         else:
             # Flood delivery: scheduling does not mutate the attachment
             # list, so iterate it directly — no per-frame list() copy.
-            schedule_at = self.sim.schedule_at
-            label = self._rx_label
             for iface in self.interfaces:
-                if iface is sender:
-                    continue
-                schedule_at(arrival, self._deliver_one, iface, packet, label=label)
+                if iface is not sender:
+                    push(arrival, deliver, (iface, packet), None, label)
 
     def _deliver_one(self, iface: "Interface", packet: Ipv6Packet) -> None:
         # The interface may have detached (mobile node moved) while the
         # frame was in flight; such frames are lost, which is exactly the
         # packet loss during handoff the paper's join-delay metric counts.
-        if iface not in self.interfaces:
+        if iface.link is not self:
             if self.stats is not None:
                 self.stats.account_drop(self.name, "receiver-detached")
             return
+        node = iface.node
         if not self.up:
             # The link went down while the frame was in flight.
-            self._drop("link-down", receiver=iface.node.name)
+            self._drop("link-down", receiver=node.name)
             return
-        if getattr(iface.node, "crashed", False):
+        if node.crashed:
             # Checked before the loss draw so fault-free runs consume an
             # identical RNG sequence whether or not crashes are plausible.
-            self._drop("node-crashed", receiver=iface.node.name)
+            self._drop("node-crashed", receiver=node.name)
             return
         if self._loss_model is not None and self._loss_model.should_drop(
             self._loss_rng
         ):
             self.frames_lost += 1
-            self._drop("link-loss", receiver=iface.node.name)
+            self._drop("link-loss", receiver=node.name)
             return
-        iface.deliver(packet)
+        node.receive(packet, iface)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} {self.prefix} n={len(self.interfaces)}>"

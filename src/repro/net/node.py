@@ -172,8 +172,12 @@ class Node:
         packet: Ipv6Packet,
         l2_dst: Optional[Interface] = None,
     ) -> None:
-        """Transmit on a specific interface (link-scope & multicast sends)."""
-        iface.send(packet, l2_dst=l2_dst)
+        """Transmit on a specific interface (link-scope & multicast sends);
+        dropped silently while ``iface`` is detached, as by
+        :meth:`Interface.send`."""
+        link = iface.link
+        if link is not None:
+            link.transmit(iface, packet, l2_dst)
 
     def route_and_send(self, packet: Ipv6Packet) -> bool:
         """Originate (or forward) a unicast packet via FIB / on-link routes.
@@ -331,7 +335,7 @@ class Host(Node):
         self._app_receivers.append(callback)
 
     def deliver_app_data(self, packet: Ipv6Packet) -> None:
-        message = packet.innermost_message()
+        message = packet.inner.payload
         if isinstance(message, ApplicationData):
             tracer = self.tracer
             if tracer is not None and tracer.wants("mcast.deliver"):

@@ -34,6 +34,8 @@ __all__ = [
 IPV6_HEADER_BYTES = 40
 
 _packet_uid = itertools.count(1)
+#: allocates an uninitialised packet (see ``with_decremented_hop_limit``)
+_new_packet = object.__new__
 
 
 def reset_packet_uids() -> None:
@@ -207,17 +209,20 @@ class Ipv6Packet:
 
         The copy keeps the original's uid (it is the same datagram one
         hop on) but still draws one from the counter, which keeps every
-        later uid in a trace unchanged; the memoized size, label and
-        category carry over, since the hop limit enters none of them.
+        later uid in a trace unchanged.  Every other slot, the memoized
+        size, label and category included, is copied as it is: the hop
+        limit enters none of them, and the addresses and options are
+        immutable, so ``__init__``'s normalising would change nothing.
         """
-        clone = Ipv6Packet(
-            self.src,
-            self.dst,
-            self.payload,
-            hop_limit=self.hop_limit - 1,
-            dest_options=self.dest_options,
-        )
+        clone = _new_packet(Ipv6Packet)
+        clone.src = self.src
+        clone.dst = self.dst
+        clone.payload = self.payload
+        clone.hop_limit = self.hop_limit - 1
+        clone.dest_options = self.dest_options
+        next(_packet_uid)
         clone.uid = self.uid
+        clone._inner = self._inner
         clone._size_bytes = self._size_bytes
         clone._described = self._described
         clone._category = self._category

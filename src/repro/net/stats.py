@@ -153,18 +153,21 @@ class LinkStats:
     def account(self, packet: Ipv6Packet) -> str:
         """Charge one transmission; returns the category used."""
         category = classify_packet(packet)
-        if category == FLUID_PROBE_CATEGORY:
-            # Probe datagrams carry their whole wire size (tunnel
-            # headers included) in the probe bucket: the analytic fluid
-            # charges must stay exactly rate x dt per data category.
-            self.bytes_by_category[category] += packet.size_bytes
+        size = packet.size_bytes
+        inner = packet._inner
+        if inner is None or category == FLUID_PROBE_CATEGORY:
+            # An untunnelled packet has no overhead to split off.  Probe
+            # datagrams carry their whole wire size (tunnel headers
+            # included) in the probe bucket: the analytic fluid charges
+            # must stay exactly rate x dt per data category.
+            self.bytes_by_category[category] += size
             self.packets_by_category[category] += 1
             return category
-        overhead = packet.overhead_bytes
-        self.bytes_by_category[category] += packet.size_bytes - overhead
+        inner_size = inner.size_bytes
+        self.bytes_by_category[category] += inner_size
         self.packets_by_category[category] += 1
-        if overhead:
-            self.bytes_by_category["tunnel_overhead"] += overhead
+        # at least one outer header: never zero
+        self.bytes_by_category["tunnel_overhead"] += size - inner_size
         return category
 
     def account_rate(self, category: str, nbytes: float, npackets: float) -> None:
@@ -201,9 +204,10 @@ class NetworkStats:
         #: recorded by ``Network.collect_state`` — the topology-wide
         #: memory proxy (peak RSS stand-in) for the scaling study
         self.state_entries: Dict[str, int] = {}
-        #: called before every snapshot or publish: a traffic model that
-        #: integrates lazily (fluid) registers its ``sync`` here, so a
-        #: read never sees counters that lag ``sim.now``
+        #: called before every read of the byte and packet counters
+        #: (single counters, totals, snapshot, publish): a traffic model
+        #: that integrates lazily (fluid) registers its ``sync`` here, so
+        #: a read never sees counters that lag ``sim.now``
         self.sync_hook: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
@@ -240,9 +244,6 @@ class NetworkStats:
             stats = self._per_link[link_name] = LinkStats()
         return stats
 
-    def account(self, link_name: str, packet: Ipv6Packet) -> str:
-        return self.stats_for(link_name).account(packet)
-
     def account_drop(self, link_name: str, reason: str) -> None:
         self.stats_for(link_name).record_drop(reason)
 
@@ -258,10 +259,16 @@ class NetworkStats:
         self.stats_for(link_name).account_rate(category, nbytes, npackets)
 
     # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        if self.sync_hook is not None:
+            self.sync_hook()
+
     def link_bytes(self, link_name: str, category: Optional[str] = None) -> int:
+        self._sync()
         return self.stats_for(link_name).bytes(category)
 
     def link_packets(self, link_name: str, category: Optional[str] = None) -> int:
+        self._sync()
         return self.stats_for(link_name).packets(category)
 
     def total_bytes(
@@ -269,6 +276,7 @@ class NetworkStats:
         category: Optional[str] = None,
         links: Optional[Iterable[str]] = None,
     ) -> int:
+        self._sync()
         names = list(links) if links is not None else list(self._per_link)
         return sum(self.stats_for(n).bytes(category) for n in names)
 
@@ -277,6 +285,7 @@ class NetworkStats:
         category: Optional[str] = None,
         links: Optional[Iterable[str]] = None,
     ) -> int:
+        self._sync()
         names = list(links) if links is not None else list(self._per_link)
         return sum(self.stats_for(n).packets(category) for n in names)
 
@@ -305,8 +314,7 @@ class NetworkStats:
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """Copy of all counters: link -> category -> bytes."""
-        if self.sync_hook is not None:
-            self.sync_hook()
+        self._sync()
         return {
             name: dict(stats.bytes_by_category)
             for name, stats in self._per_link.items()
@@ -320,8 +328,7 @@ class NetworkStats:
         the net layer keeps no dependency on :mod:`repro.obs`.
         Idempotent: republishing overwrites the gauge values.
         """
-        if self.sync_hook is not None:
-            self.sync_hook()
+        self._sync()
         bytes_gauge = registry.gauge(
             "repro_link_bytes",
             "Per-link bytes by traffic category",

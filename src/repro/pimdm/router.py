@@ -211,11 +211,12 @@ class PimDmEngine:
         interface, and the pruned and assert-loser masks.
         """
         table = entry.downstream
+        # the masks' ints read directly: this runs once per datagram
         stamp = (
             self._oif_version,
             entry.upstream_iface,
-            table.pruned_oifs.as_int(),
-            table.assert_loser_oifs.as_int(),
+            table.pruned_oifs._bits,
+            table.assert_loser_oifs._bits,
         )
         cached = entry.oif_cache
         if cached is not None and cached[0] == stamp:
@@ -309,14 +310,15 @@ class PimDmEngine:
     # ------------------------------------------------------------------
     def on_multicast_data(self, packet: Ipv6Packet, iface: Interface) -> None:
         source, group = packet.src, packet.dst
-        entry = self.entries.get(sg_key(source, group))
+        # sg_key(source, group): packet addresses are Address already
+        entry = self.entries.get((source._int, group._int))
         if entry is None:
             entry = self._create_entry(source, group)
             if entry is None:
                 return
         if iface is entry.upstream_iface:
             if entry.entry_timer is not None:
-                entry.entry_timer.restart(self.config.data_timeout)
+                entry.entry_timer.start(self.config.data_timeout)
             outs = self.outgoing_ifaces(entry)
             if outs and packet.hop_limit > 1:
                 forwarded = packet.with_decremented_hop_limit()
@@ -335,7 +337,7 @@ class PimDmEngine:
                     )
             elif not outs:
                 entry.packets_discarded += 1
-            if group in self.node_groups:
+            if self.node_groups and group in self.node_groups:
                 for hook in self._local_hooks:
                     hook(packet, iface)
             if not outs and not self._has_interest(entry):
@@ -900,9 +902,12 @@ class MulticastRouter(Node):
 
     def handle_multicast(self, packet: Ipv6Packet, iface: Interface) -> None:
         self.dispatch_message(packet, iface)
-        if packet.dst.is_link_scope_multicast:
+        # Address.is_link_scope_multicast and Ipv6Packet.innermost_message,
+        # read off the slots: this runs for every multicast frame
+        if (packet.dst._int >> 112) & 0xFF0F == 0xFF02:
             return
-        if packet.innermost_message().protocol == "app":
+        inner = packet._inner
+        if (packet if inner is None else inner).payload.protocol == "app":
             self.pim.on_multicast_data(packet, iface)
 
     # Convenience wrappers ------------------------------------------------

@@ -43,6 +43,8 @@ __all__ = [
 
 
 def sg_key(source: Address, group: Address) -> tuple:
+    """The entries key; the data path builds it from packet addresses
+    as ``(src._int, dst._int)``."""
     return (Address(source).as_int(), Address(group).as_int())
 
 
@@ -53,7 +55,8 @@ class OifSet:
     mask stays a machine word for any realistic router degree.  This is
     the "array/bitset-backed oif set" of ROADMAP item 1: membership,
     add, and discard are single bit operations and the whole set costs
-    one integer instead of a hash table.
+    one integer instead of a hash table.  The engine's per-datagram oif
+    cache stamp reads ``_bits`` directly.
     """
 
     __slots__ = ("_bits",)

@@ -31,6 +31,15 @@ would, and is then re-pushed under that key (not a dispatch), so the
 dispatch order is that of a cancel plus a new event, without the
 tombstone.
 
+Every event enters the heap through :meth:`Simulator._push`, which
+takes the callback's arguments already packed.  ``schedule`` and
+``schedule_at`` check their time and end there.  ``Link`` deliveries
+(never due before now: the link validates its delay and bandwidth) and
+``Timer`` starts (which check their delay) call it directly, so no
+frame packs ``*args``, ``label=`` or ``**kwargs``.  All of them draw
+from one sequence counter, so FIFO order within an instant does not
+depend on the entry point.
+
 Cancellation (``stop()``, ``cancel()``, a restart to an earlier
 deadline) is O(1) lazy deletion.  The kernel tracks the number of
 cancelled entries still in the heap and **compacts** (filters +
@@ -295,7 +304,7 @@ class Simulator:
         # written so that NaN fails the test: a NaN key breaks the heap order
         if not delay >= 0:
             raise SimulationError(f"invalid delay: {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args, label=label, **kwargs)
+        return self._push(self._now + delay, fn, args, kwargs or None, label)
 
     def schedule_at(
         self,
@@ -310,8 +319,24 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, now is t={self._now!r}"
             )
+        return self._push(time, fn, args, kwargs or None, label)
+
+    def _push(
+        self,
+        time: float,
+        fn: Callable[..., Any],
+        args: tuple,
+        kwargs: Optional[dict],
+        label: str,
+    ) -> Event:
+        """Queue ``fn(*args, **kwargs)`` at ``time`` under the next
+        sequence number: :meth:`schedule_at` after its time check, with
+        the arguments already packed (``kwargs`` None when there are
+        none).  The caller guarantees ``now <= time`` and that ``time``
+        is not NaN, which would break the heap order.
+        """
         seq = next(self._seq)
-        event = Event(time, seq, fn, args, kwargs or None, label=label)
+        event = Event(time, seq, fn, args, kwargs, label)
         event._sim = self
         heapq.heappush(self._heap, (time, seq, event))
         self._pending_count += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .kernel import Event, Simulator
+from .kernel import Event, SimulationError, Simulator
 
 __all__ = ["Timer", "PeriodicTimer"]
 
@@ -76,18 +76,22 @@ class Timer:
         the queued event (:meth:`Simulator._postpone`) and leaves no
         cancelled entry in the heap; an earlier deadline cancels it and
         schedules a new one.  Either way the timer fires exactly where
-        a cancel plus a new event would.
+        a cancel plus a new event would.  An invalid ``duration``
+        (negative or NaN) raises before the timer changes.
         """
+        # written so that NaN fails the test, as in Simulator.schedule
+        if not duration >= 0:
+            raise SimulationError(f"invalid delay: {duration!r}")
         self.duration = duration
+        sim = self.sim
+        expiry = sim._now + duration
         event = self._event
         if event is not None and event.pending:
-            sim = self.sim
-            expiry = sim.now + duration
             if expiry >= event.time:
                 sim._postpone(event, expiry)
                 return
             event.cancel()
-        self._event = self.sim.schedule(duration, self._fire, label=self.name)
+        self._event = sim._push(expiry, self._fire, (), None, self.name)
 
     def restart(self, duration: Optional[float] = None) -> None:
         """Re-arm with a new duration (or the previous one)."""

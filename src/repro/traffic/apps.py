@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..net.messages import ApplicationData
@@ -30,6 +31,9 @@ class Delivery:
     seqno: int
     latency: float
     duplicate: bool
+
+
+_delivery_time = attrgetter("time")
 
 
 class ReceiverApp:
@@ -74,9 +78,12 @@ class ReceiverApp:
         )
 
     def first_delivery_after(self, time: float) -> Optional[Delivery]:
-        """Earliest delivery at or after ``time`` (join-delay probe)."""
-        times = [d.time for d in self.deliveries]
-        idx = bisect.bisect_left(times, time)
+        """Earliest delivery at or after ``time`` (join-delay probe).
+
+        Deliveries are appended in time order, so this bisects them in
+        place: O(log n), with no list of their times built per call.
+        """
+        idx = bisect.bisect_left(self.deliveries, time, key=_delivery_time)
         return self.deliveries[idx] if idx < len(self.deliveries) else None
 
     def join_delay(self, move_time: float) -> Optional[float]:

@@ -72,9 +72,9 @@ class TrafficModel(ABC):
     def sync(self) -> None:
         """Bring byte accounting up to ``sim.now``.
 
-        Call before reading node load counters or single
-        :class:`~repro.net.stats.NetworkStats` counters; ``snapshot()``
-        and ``publish_to()`` call it through ``NetworkStats.sync_hook``.
+        Call before reading node load counters; every byte and packet
+        read of :class:`~repro.net.stats.NetworkStats` calls it through
+        ``NetworkStats.sync_hook``.
         A no-op for the packet model, which accounts on every
         transmission anyway.
         """

@@ -137,3 +137,23 @@ class TestFluidEngine:
         # a read in mid-segment equals a read after an explicit sync
         fluid.traffic.sync()
         assert fluid.net.stats.link_bytes("L1", "mcast_data") == read
+
+    def test_fluid_single_counter_reads_are_current(self):
+        """Single-counter reads sync through the hook as snapshots do:
+        in mid-segment they equal the reads after an explicit sync."""
+        sc = PaperScenario(ScenarioConfig(traffic_model="fluid"))
+        sc.converge()
+        sc.run_for(7.3)  # ends inside a constant-rate segment
+        stats = sc.net.stats
+
+        def reads():
+            return (
+                stats.link_bytes("L1", "mcast_data"),
+                stats.link_packets("L1", "mcast_data"),
+                stats.total_bytes("mcast_data"),
+                stats.total_packets("mcast_data"),
+            )
+
+        mid_segment = reads()
+        sc.traffic.sync()
+        assert mid_segment == reads()

@@ -80,6 +80,55 @@ class TestDelivery:
         net.sim.run()
         assert got == []
 
+    def test_reattached_interface_gets_in_flight_frame(self):
+        """A frame in flight to an interface that left and rejoined the
+        same link before arrival is delivered."""
+        net, link, hosts = build(2, delay=10e-3)
+        got = []
+        hosts[1].receive = lambda p, i: got.append(i)  # type: ignore
+        iface = hosts[1].interfaces[0]
+        p = packet(hosts[0].primary_address(), Address("ff1e::1"))
+        link.transmit(hosts[0].interfaces[0], p)
+        net.sim.schedule(0.001, iface.detach)
+        net.sim.schedule(0.002, iface.attach, link)
+        net.sim.run()
+        assert got == [iface]
+        assert net.stats.link_drops("LAN", "receiver-detached") == 0
+
+    def test_interface_moved_to_other_link_misses_in_flight_frame(self):
+        """A frame in flight to an interface that is on another link by
+        arrival time is lost and counted as ``receiver-detached``."""
+        net, link, hosts = build(2, delay=10e-3)
+        other = net.add_link("WLAN", "2001:db8:8::/64")
+        got = []
+        hosts[1].receive = lambda p, i: got.append(i)  # type: ignore
+        iface = hosts[1].interfaces[0]
+        p = packet(hosts[0].primary_address(), Address("ff1e::1"))
+        link.transmit(hosts[0].interfaces[0], p)
+        net.sim.schedule(0.001, iface.detach)
+        net.sim.schedule(0.002, iface.attach, other)
+        net.sim.run()
+        assert got == []
+        assert net.stats.link_drops("LAN", "receiver-detached") == 1
+
+    def test_flood_follows_attachment_list_after_churn(self):
+        """After detaches and attaches, a flood reaches exactly
+        ``link.interfaces`` minus the sender, in list order."""
+        net, link, hosts = build(4)
+        hosts[1].interfaces[0].detach()
+        hosts[1].interfaces[0].attach(link)  # rejoins at the end
+        hosts[2].interfaces[0].detach()
+        late = Host(net.sim, "H4", tracer=net.tracer, rng=net.rng)
+        late.attach_to(link, link.prefix.address_for_host(5))
+        got = []
+        for h in hosts + [late]:
+            h.receive = lambda p, i, name=h.name: got.append(name)  # type: ignore
+        sender = hosts[3].interfaces[0]
+        link.transmit(sender, packet(hosts[3].primary_address(), Address("ff1e::1")))
+        net.sim.run()
+        assert got == [i.node.name for i in link.interfaces if i is not sender]
+        assert got == ["H0", "H1", "H4"]
+
     def test_send_from_detached_interface_dropped(self):
         net, link, hosts = build(2)
         hosts[0].interfaces[0].detach()
@@ -158,3 +207,8 @@ class TestAccounting:
             Link(sim, "bad", Prefix("2001:db8::/64"), delay=-1.0)
         with pytest.raises(ValueError):
             Link(sim, "bad", Prefix("2001:db8::/64"), bandwidth_bps=0.0)
+        # frame arrivals are queued unchecked, so NaN must not get in
+        with pytest.raises(ValueError):
+            Link(sim, "bad", Prefix("2001:db8::/64"), delay=float("nan"))
+        with pytest.raises(ValueError):
+            Link(sim, "bad", Prefix("2001:db8::/64"), bandwidth_bps=float("nan"))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.mipv6 import HomeAddressOption
 from repro.net import Address, ApplicationData, IPV6_HEADER_BYTES, Ipv6Packet
+from repro.net.stats import classify_packet
 
 SRC = Address("2001:db8:1::10")
 DST = Address("ff1e::1")
@@ -32,6 +33,25 @@ class TestBasics:
         assert q.hop_limit == p.hop_limit - 1
         assert q.uid == p.uid  # same datagram identity
         assert q.payload is p.payload
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_clone_equals_original_but_hop_limit(self, memoized):
+        """The forwarding clone copies slots instead of re-running
+        ``__init__``: every slot is the original's object except
+        ``hop_limit``, and exactly one uid is drawn."""
+        inner = data_packet(dest_options=(HomeAddressOption(COA),))
+        p = inner.encapsulate(HA, COA, hop_limit=9)
+        if memoized:
+            p.size_bytes, p.describe(), classify_packet(p)
+        q = p.with_decremented_hop_limit()
+        after = data_packet()
+        assert after.uid == p.uid + 2  # p, then the clone's draw
+        for slot in Ipv6Packet.__slots__:
+            if slot == "hop_limit":
+                assert q.hop_limit == p.hop_limit - 1 == 8
+            else:
+                assert getattr(q, slot) is getattr(p, slot), slot
+        assert q.inner is inner and q.size_bytes == p.size_bytes
 
     def test_describe_mentions_endpoints(self):
         text = data_packet().describe()

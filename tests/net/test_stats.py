@@ -48,7 +48,7 @@ class TestAccounting:
     def test_plain_bytes(self):
         stats = NetworkStats()
         p = Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0, payload_bytes=100))
-        stats.account("L1", p)
+        stats.stats_for("L1").account(p)
         assert stats.link_bytes("L1", "mcast_data") == 140
         assert stats.link_packets("L1", "mcast_data") == 1
 
@@ -56,7 +56,7 @@ class TestAccounting:
         stats = NetworkStats()
         inner = Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0, payload_bytes=100))
         outer = inner.encapsulate(UNI, SRC)
-        stats.account("L1", outer)
+        stats.stats_for("L1").account(outer)
         assert stats.link_bytes("L1", "mcast_data") == 140
         assert stats.link_bytes("L1", "tunnel_overhead") == 40
         assert stats.link_bytes("L1") == 180
@@ -64,24 +64,24 @@ class TestAccounting:
     def test_totals_across_links(self):
         stats = NetworkStats()
         p = Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0, payload_bytes=60))
-        stats.account("L1", p)
-        stats.account("L2", p)
+        stats.stats_for("L1").account(p)
+        stats.stats_for("L2").account(p)
         assert stats.total_bytes("mcast_data") == 200
         assert stats.total_bytes("mcast_data", links=["L1"]) == 100
 
     def test_signaling_bytes(self):
         stats = NetworkStats()
-        stats.account("L1", Ipv6Packet(SRC, GROUP, MldReport(GROUP)))
-        stats.account("L1", Ipv6Packet(SRC, Address("ff02::d"), PimHello()))
-        stats.account("L1", Ipv6Packet(SRC, UNI, ControlPayload("mipv6", 0)))
+        stats.stats_for("L1").account(Ipv6Packet(SRC, GROUP, MldReport(GROUP)))
+        stats.stats_for("L1").account(Ipv6Packet(SRC, Address("ff02::d"), PimHello()))
+        stats.stats_for("L1").account(Ipv6Packet(SRC, UNI, ControlPayload("mipv6", 0)))
         assert stats.signaling_bytes() == (40 + 24) + (40 + 30) + 40
 
     def test_snapshot_is_a_copy(self):
         stats = NetworkStats()
         p = Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0))
-        stats.account("L1", p)
+        stats.stats_for("L1").account(p)
         snap = stats.snapshot()
-        stats.account("L1", p)
+        stats.stats_for("L1").account(p)
         assert snap["L1"]["mcast_data"] == 1040
         assert stats.link_bytes("L1", "mcast_data") == 2080
 
@@ -92,5 +92,5 @@ class TestAccounting:
 
     def test_render_contains_links(self):
         stats = NetworkStats()
-        stats.account("L9", Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0)))
+        stats.stats_for("L9").account(Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0)))
         assert "L9" in stats.render()

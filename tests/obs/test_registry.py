@@ -190,7 +190,7 @@ class TestNetworkPublish:
             Address("ff1e::1"),
             ApplicationData(seqno=0, payload_bytes=1000),
         )
-        stats.account("L1", packet)
+        stats.stats_for("L1").account(packet)
         reg = MetricsRegistry()
         stats.publish_to(reg)
         gauge = reg.get("repro_link_bytes")

@@ -84,6 +84,33 @@ class TestScheduling:
         sim.run()
         assert fired == [1] and sim.now == 0.0
 
+    def test_push_interleaves_with_schedule_at_in_seq_order(self, sim):
+        """``_push`` is ``schedule_at`` after its time check: at one
+        instant its events take sequence numbers in call order with the
+        others, and hook and profiler see each under its own label."""
+        from repro.obs import KernelProfiler
+        from repro.sim import Timer
+
+        fired, hooked = [], []
+        profiler = KernelProfiler()
+        sim.set_profiler(profiler)
+        sim.set_dispatch_hook(lambda event: hooked.append(event.label))
+        events = [
+            sim.schedule_at(1.0, fired.append, "a", label="sched"),
+            sim._push(1.0, fired.append, ("b",), None, "push"),
+            sim.schedule(1.0, fired.append, "c", label="sched"),
+            sim._push(1.0, lambda x: fired.append(x), (), {"x": "d"}, "push-kw"),
+        ]
+        Timer(sim, lambda: fired.append("e"), name="timer").start(1.0)
+        sim.run()
+        first = events[0].seq
+        assert [event.seq for event in events] == list(range(first, first + 4))
+        assert fired == ["a", "b", "c", "d", "e"]
+        assert hooked == ["sched", "push", "sched", "push-kw", "timer"]
+        counts = {entry.label: entry.count for entry in profiler.entries()}
+        assert counts == {"sched": 2, "push": 1, "push-kw": 1, "timer": 1}
+        assert sim.events_pending == 0 and sim.events_dispatched == 5
+
     def test_events_scheduled_during_dispatch(self, sim):
         fired = []
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PeriodicTimer, Simulator, Timer
+from repro.sim import PeriodicTimer, SimulationError, Simulator, Timer
 
 
 class TestTimer:
@@ -73,6 +73,17 @@ class TestTimer:
         sim.run(until=3.0)
         t.start(7.0)
         assert t.expires_at == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("duration", [-1.0, float("nan")])
+    def test_invalid_duration_leaves_timer_unchanged(self, sim, duration):
+        fired = []
+        t = Timer(sim, lambda: fired.append(sim.now))
+        t.start(5.0)
+        with pytest.raises(SimulationError):
+            t.start(duration)
+        assert t.expires_at == 5.0 and t.duration == 5.0
+        sim.run()
+        assert fired == [5.0]
 
     def test_start_while_running_restarts(self, sim):
         fired = []

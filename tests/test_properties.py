@@ -138,7 +138,7 @@ class TestAccountingProperties:
             for _ in range(depth):
                 pkt = pkt.encapsulate(Address("2001:db8:2::1"),
                                       Address("2001:db8:3::1"))
-            stats.account("L", pkt)
+            stats.stats_for("L").account(pkt)
             total += pkt.size_bytes
         assert stats.link_bytes("L") == total
         # overhead channel carries exactly depth*40 per packet

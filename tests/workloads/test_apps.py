@@ -74,6 +74,15 @@ class TestProbes:
         assert app.first_delivery_after(2.5).seqno == 2
         assert app.first_delivery_after(3.0).seqno == 2
         assert app.first_delivery_after(99.0) is None
+        assert app.first_delivery_after(0.0).seqno == 0
+
+    def test_first_delivery_after_takes_first_of_equal_times(self):
+        net, h, app = receiver()
+        for k in range(4):
+            inject(net, h, k, 1.0 + k // 2)  # two deliveries per instant
+        net.sim.run()
+        assert app.first_delivery_after(2.0).seqno == 2
+        assert app.first_delivery_after(1.5).seqno == 2
 
     def test_join_delay(self):
         app = self._filled()
