@@ -7,7 +7,8 @@ with Links 5 and 6 off-tree.
 """
 
 from repro.analysis import render_tree
-from repro.core import LOCAL_MEMBERSHIP, ROUTER_LINKS, PaperScenario, ScenarioConfig
+from repro.core import LOCAL_MEMBERSHIP, PaperScenario, ScenarioConfig
+from repro.net.topogen import ROUTER_LINKS
 
 from bench_utils import once, save_report
 

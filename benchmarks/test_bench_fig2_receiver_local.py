@@ -6,7 +6,8 @@ forwarding onto Link 4 until the MLD leave delay (≤ 260 s) expires.
 """
 
 from repro.analysis import fmt_seconds, render_tree
-from repro.core import LOCAL_MEMBERSHIP, ROUTER_LINKS, PaperScenario, ScenarioConfig
+from repro.core import LOCAL_MEMBERSHIP, PaperScenario, ScenarioConfig
+from repro.net.topogen import ROUTER_LINKS
 
 from bench_utils import once, save_report
 

@@ -8,7 +8,8 @@ the paper calls out.
 """
 
 from repro.analysis import fmt_seconds, render_figure
-from repro.core import BIDIRECTIONAL_TUNNEL, ROUTER_LINKS, PaperScenario, ScenarioConfig
+from repro.core import BIDIRECTIONAL_TUNNEL, PaperScenario, ScenarioConfig
+from repro.net.topogen import ROUTER_LINKS
 
 from bench_utils import once, save_report
 

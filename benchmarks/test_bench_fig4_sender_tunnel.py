@@ -7,7 +7,8 @@ no re-flood, no new (S,G) state, per-datagram encapsulation overhead.
 """
 
 from repro.analysis import fmt_bytes, render_figure
-from repro.core import BIDIRECTIONAL_TUNNEL, ROUTER_LINKS, PaperScenario, ScenarioConfig
+from repro.core import BIDIRECTIONAL_TUNNEL, PaperScenario, ScenarioConfig
+from repro.net.topogen import ROUTER_LINKS
 
 from bench_utils import once, save_report
 
@@ -25,7 +26,7 @@ def run():
 
 def test_bench_fig4_sender_tunnel(benchmark):
     sc, before = once(benchmark, run)
-    sender = sc.paper.sender
+    sender = sc.paper.host("S")
     a = sc.paper.router("A")
     delta = sc.metrics.snapshot().delta(before)
     new_entries = sc.metrics.entries_created(source=sender.care_of_address, since=MOVE_AT)

@@ -12,7 +12,8 @@ Two moves of Sender S under the local-sending approach:
 """
 
 from repro.analysis import fmt_bytes, render_table, render_tree
-from repro.core import LOCAL_MEMBERSHIP, ROUTER_LINKS, PaperScenario, ScenarioConfig
+from repro.core import LOCAL_MEMBERSHIP, PaperScenario, ScenarioConfig
+from repro.net.topogen import ROUTER_LINKS
 
 from bench_utils import once, save_report
 
@@ -25,18 +26,18 @@ def run_offtree():
     sc.run_until(100.0)
     mid = {
         "new_entries": sc.metrics.entries_created(
-            source=sc.paper.sender.care_of_address, since=40.0
+            source=sc.paper.host("S").care_of_address, since=40.0
         ),
         "flood_links": sc.metrics.flood_extent(
-            sc.paper.sender.care_of_address, sc.group, since=40.0
+            sc.paper.host("S").care_of_address, sc.group, since=40.0
         ),
-        "new_tree": sc.tree_for_source(sc.paper.sender.care_of_address),
+        "new_tree": sc.tree_for_source(sc.paper.host("S").care_of_address),
         "old_tree": sc.current_tree(),
         "delta": sc.metrics.snapshot().delta(before),
     }
     # run past the 210 s data timeout: the stale tree must evaporate
     sc.run_until(40.0 + 210.0 + 30.0)
-    home = sc.paper.sender.home_address
+    home = sc.paper.host("S").home_address
     mid["old_entries_expired"] = sc.net.tracer.count(
         "pim.state", event="entry-expired", source=str(home)
     )

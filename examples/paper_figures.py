@@ -12,10 +12,10 @@ from repro.analysis import fmt_seconds, render_figure
 from repro.core import (
     BIDIRECTIONAL_TUNNEL,
     LOCAL_MEMBERSHIP,
-    ROUTER_LINKS,
     PaperScenario,
     ScenarioConfig,
 )
+from repro.net.topogen import ROUTER_LINKS
 
 
 def figure1() -> None:
@@ -64,7 +64,7 @@ def figure4() -> None:
     sc.converge()
     sc.move("S", "L6", at=40.0)
     sc.run_until(90.0)
-    s = sc.paper.sender
+    s = sc.paper.host("S")
     print(render_figure(
         sc.current_tree(), "L1", ROUTER_LINKS,
         tunnels=[(f"S @ {s.care_of_address} (Link 6)", "Router A (HA of S)",

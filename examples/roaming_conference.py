@@ -25,10 +25,7 @@ def run_approach(approach, seed=7, duration=600.0):
     )
     listeners = []
     for k in range(3):
-        host = sc.paper.add_mobile_host(
-            f"U{k}", "L4", host_id=130 + k,
-            recv_mode=approach.recv_mode, send_mode=approach.send_mode,
-        )
+        host = sc.paper.add_host(f"U{k}", "L4", host_id=130 + k)
         listeners.append((host, ReceiverApp(host)))
     sc.converge()
     links = [sc.paper.link(f"L{i}") for i in range(1, 7)]

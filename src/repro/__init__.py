@@ -42,7 +42,6 @@ from .core import (
     TUNNEL_HA_TO_MH,
     TUNNEL_MH_TO_HA,
     Approach,
-    PaperNetwork,
     PaperScenario,
     ScenarioConfig,
     approach_for,
@@ -70,7 +69,6 @@ __all__ = [
     "MobileIpv6Config",
     "MobileNode",
     "Network",
-    "PaperNetwork",
     "PaperScenario",
     "PimDmConfig",
     "Prefix",

@@ -60,7 +60,8 @@ def span_receiver_run(
     ``rejoin`` phase against the untouched fixed phases.
     """
     from ..core.scenario import PaperScenario, ScenarioConfig
-    from ..faults import FaultInjector, FaultPlan, gilbert_loss, link_down, loss_burst
+    from ..faults import FaultInjector
+    from ..faults.experiments import loss_plan
 
     sc = PaperScenario(
         ScenarioConfig(
@@ -70,21 +71,12 @@ def span_receiver_run(
             trace_spans=True,
         )
     )
-    events = []
-    if loss_rate > 0.0:
-        if model == "bernoulli":
-            events.append(loss_burst(fault_at, move_link, rate=loss_rate))
-        elif model == "gilbert":
-            events.append(gilbert_loss(fault_at, move_link, rate=loss_rate))
-        else:
-            raise ValueError(f"unknown loss model {model!r} (bernoulli/gilbert)")
-        if handoff_blackout > 0.0:
-            # same fade as the resilience sweep: the join/BU exchange
-            # (1.6 s after the move) lands inside the outage
-            events.append(
-                link_down(move_at + 1.5, move_link, duration=handoff_blackout)
-            )
-    injector = FaultInjector(sc.net, FaultPlan(*events)).arm()
+    # the EXP-R1 fault shape: the join/BU exchange (1.6 s after the
+    # move) lands inside the blackout
+    plan = loss_plan(
+        model, move_link, loss_rate, fault_at, move_at + 1.5, handoff_blackout
+    )
+    injector = FaultInjector(sc.net, plan).arm()
     sc.converge()
     sc.move("R3", move_link, at=move_at)
     sc.run_until(run_until)

@@ -31,7 +31,7 @@ from .runner import (
     CheckpointJournal,
     resolve_cell,
 )
-from .tasks import get_task, register_task, task_names
+from .tasks import get_task, task_names
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -47,7 +47,6 @@ __all__ = [
     "canonical_params",
     "code_version",
     "get_task",
-    "register_task",
     "resolve_cell",
     "task_names",
 ]

@@ -1,7 +1,7 @@
 """Declarative scenario grids.
 
-A campaign is a list of *cells*; each cell names a registered task
-(:mod:`repro.campaign.tasks`) and carries a flat, JSON-able parameter
+A campaign is a list of *cells*; each cell names a task of the
+:mod:`repro.campaign.tasks` table and carries a flat, JSON-able parameter
 mapping.  :class:`CampaignGrid` expands the Cartesian product of a set
 of axes over a base parameter dict — the declarative way to say
 "4 delivery approaches × 3 seeds × 2 source rates"::
@@ -60,7 +60,7 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One unit of work: a registered task plus its parameters."""
+    """One unit of work: a task name plus its parameters."""
 
     task: str
     params: Mapping[str, Any] = field(default_factory=dict)

@@ -70,7 +70,6 @@ from .analysis import fmt_seconds, render_figure
 from .campaign import CampaignError, CampaignRunner
 from .core import (
     ALL_APPROACHES,
-    ROUTER_LINKS,
     PaperScenario,
     ScenarioConfig,
     render_fluid_report,
@@ -88,6 +87,7 @@ from .core import (
 from .core.goldens import CANNED_RUNS
 from .core.report import generate_report
 from .core.timer_optimization import render_sweep
+from .net.topogen import ROUTER_LINKS, topo_graph
 from .obs import (
     KernelProfiler,
     MetricsRegistry,
@@ -148,7 +148,7 @@ def _fig4(sc: PaperScenario):
     reverse_tunneled = sc.paper.router("A").reverse_tunneled
     return (
         {"reverse_tunneled": reverse_tunneled},
-        [(f"S @ {sc.paper.sender.care_of_address}", "Router A",
+        [(f"S @ {sc.paper.host('S').care_of_address}", "Router A",
           "MH->HA multicast tunnel")],
         [f"reverse-tunneled: {reverse_tunneled}"],
     )
@@ -909,8 +909,6 @@ def _profile(args: argparse.Namespace) -> None:
 
 def _topo(args: argparse.Namespace) -> None:
     """Generate a topology, validate it, print its description."""
-    from .net.topogen import topo_graph
-
     spec: Dict[str, Any] = {"model": args.model}
     if args.model == "hier":
         spec.update(depth=args.depth, fanout=args.fanout, seed=args.seed)

@@ -9,14 +9,6 @@ from .comparison import (
     sender_mobility_run,
 )
 from .metrics import ScenarioMetrics, StatsSnapshot, per_hop_latency
-from .paper_topology import (
-    HOME_AGENT_OF_LINK,
-    HOST_HOMES,
-    LINK_PREFIXES,
-    ROUTER_LINKS,
-    PaperNetwork,
-    build_paper_network,
-)
 from .fluidstudy import (
     DEFAULT_PROBE_INTERVAL,
     fluid_cell,
@@ -40,7 +32,7 @@ from .scaling import (
     run_ha_load_vs_mobiles,
     run_ha_load_vs_rate,
 )
-from .scenario import PaperScenario, ScenarioConfig
+from .scenario import PaperScenario, ScenarioConfig, build_paper_network
 from .strategies import (
     ALL_APPROACHES,
     BIDIRECTIONAL_TUNNEL,
@@ -62,18 +54,13 @@ from .timer_optimization import (
 __all__ = [
     "ALL_APPROACHES",
     "AdaptiveStrategyController",
-    "HOME_AGENT_OF_LINK",
     "Approach",
     "BIDIRECTIONAL_TUNNEL",
     "ComparisonReport",
     "DEFAULT_PROBE_INTERVAL",
     "DEFAULT_SIZES",
-    "HOST_HOMES",
-    "LINK_PREFIXES",
     "LOCAL_MEMBERSHIP",
-    "PaperNetwork",
     "PaperScenario",
-    "ROUTER_LINKS",
     "ScenarioConfig",
     "ScenarioMetrics",
     "StatsSnapshot",

@@ -197,7 +197,7 @@ def sender_mobility_run(
     after = sc.metrics.snapshot()
     delta = after.delta(before)
 
-    sender = sc.paper.sender
+    sender = sc.paper.host("S")
     coa = sender.care_of_address
     new_entries = (
         sc.metrics.entries_created(source=coa, since=move_at) if coa else 0

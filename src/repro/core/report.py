@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 from ..analysis import fmt_seconds, render_figure
 from ..mld import MldConfig
+from ..net.topogen import ROUTER_LINKS
 from .comparison import run_full_comparison
 from .goldens import run_canned
-from .paper_topology import ROUTER_LINKS
 from .scaling import render_scaling, run_ha_load_vs_groups, run_ha_load_vs_mobiles
 from .scenario import PaperScenario, ScenarioConfig
 from .strategies import BIDIRECTIONAL_TUNNEL, render_table1
@@ -81,7 +81,7 @@ def generate_report(
     fig3.move("S", "L6", at=40.0)
     fig3.run_until(100.0)
     d, a = fig3.paper.router("D"), fig3.paper.router("A")
-    coa = fig3.paper.sender.care_of_address
+    coa = fig3.paper.host("S").care_of_address
     out.write(
         f"Router D tunneled {d.tunneled_to_mobiles} datagrams to R3; "
         f"Router A reverse-tunneled {a.reverse_tunneled} from S; "

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, render_table
 from ..campaign import CampaignGrid, CampaignRunner
-from ..mipv6 import DeliveryMode
 from ..net import Address, make_multicast_group
 from .scenario import PaperScenario, ScenarioConfig
 from .strategies import BIDIRECTIONAL_TUNNEL
@@ -68,11 +67,7 @@ def ha_load_mobiles_cell(
         )
     )
     extras = [
-        sc.paper.add_mobile_host(
-            f"M{k}", "L4", host_id=110 + k,
-            recv_mode=DeliveryMode.HA_TUNNEL, send_mode=DeliveryMode.HA_TUNNEL,
-        )
-        for k in range(mobiles)
+        sc.paper.add_host(f"M{k}", "L4", host_id=110 + k) for k in range(mobiles)
     ]
     sc.converge()
     for host in extras:
@@ -156,14 +151,11 @@ def ha_load_groups_cell(
     # extra flows go through the scenario's traffic engine so fluid
     # mode integrates them too (packet mode builds identical sources)
     sources = [
-        sc.traffic.add_cbr(sc.paper.sender, g,
+        sc.traffic.add_cbr(sc.paper.host("S"), g,
                            packet_interval=packet_interval, flow=f"flow-{k}")
         for k, g in enumerate(group_addrs)
     ]
-    mobile = sc.paper.add_mobile_host(
-        "MG", "L4", host_id=120,
-        recv_mode=DeliveryMode.HA_TUNNEL, send_mode=DeliveryMode.HA_TUNNEL,
-    )
+    mobile = sc.paper.add_host("MG", "L4", host_id=120)
     sc.converge()
     for g in group_addrs:
         mobile.join_group(g)

@@ -1,10 +1,13 @@
 """Scenario harness on the paper's Figure 1 network.
 
-:class:`PaperScenario` wires the Figure 1 topology with receiver
-instrumentation and a CBR source at Sender S, provides the canned
-phases every experiment shares (boot, application joins, traffic
-start, tree convergence), and exposes the moves the paper analyzes
-(Receiver 3 to Link 6 / Link 1, Sender S to Link 6 / Link 4, ...).
+:func:`build_paper_network` is the one Figure 1 builder: it
+instantiates :func:`repro.net.topogen.figure1_graph` with the protocol
+configs and the delivery approach of a run.  :class:`PaperScenario`
+wires that network with receiver instrumentation and a CBR source at
+Sender S, provides the canned phases every experiment shares (boot,
+application joins, traffic start, tree convergence), and exposes the
+moves the paper analyzes (Receiver 3 to Link 6 / Link 1, Sender S to
+Link 6 / Link 4, ...).
 
 Timeline convention (defaults):
 
@@ -18,19 +21,50 @@ t = 30     ``converge()`` returns; experiments schedule moves after
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..mipv6 import MobileIpv6Config
+from ..mipv6 import DeliveryMode, MobileIpv6Config
 from ..mld import MldConfig
-from ..net import Address
+from ..net import Address, make_multicast_group
+from ..net.topogen import GeneratedTopology, build_network, figure1_graph
 from ..pimdm import PimDmConfig
 from ..traffic import ReceiverApp, make_traffic_model
 from .metrics import ScenarioMetrics
-from .paper_topology import PaperNetwork, build_paper_network
 from .strategies import LOCAL_MEMBERSHIP, Approach
 
-__all__ = ["ScenarioConfig", "PaperScenario"]
+__all__ = ["ScenarioConfig", "PaperScenario", "build_paper_network"]
+
+#: The receivers every Figure run instruments.
+RECEIVERS = ("R1", "R2", "R3")
+
+
+def build_paper_network(
+    seed: int = 0,
+    mld_config: Optional[MldConfig] = None,
+    pim_config: Optional[PimDmConfig] = None,
+    mipv6_config: Optional[MobileIpv6Config] = None,
+    recv_mode: DeliveryMode = DeliveryMode.LOCAL,
+    send_mode: DeliveryMode = DeliveryMode.LOCAL,
+    link_delay: float = 0.5e-3,
+    link_bandwidth_bps: float = 100e6,
+) -> GeneratedTopology:
+    """Construct the Figure 1 network with all protocol engines wired up.
+
+    ``recv_mode``/``send_mode`` select the multicast delivery approach
+    every mobile host will use while away from home (Table 1 axes);
+    hosts added later with :meth:`GeneratedTopology.add_host` use the
+    same approach and configs.
+    """
+    return build_network(
+        figure1_graph(link_delay, link_bandwidth_bps),
+        seed=seed,
+        pim_config=pim_config,
+        mld_config=mld_config,
+        mipv6_config=mipv6_config,
+        recv_mode=recv_mode,
+        send_mode=send_mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -73,22 +107,10 @@ class ScenarioConfig:
 class PaperScenario:
     """One simulation run over the Figure 1 network."""
 
-    def __init__(
-        self,
-        config: Optional[ScenarioConfig] = None,
-        paper: Optional[PaperNetwork] = None,
-    ) -> None:
-        """``paper`` injects a pre-built Figure 1 network — e.g. one
-        instantiated from :func:`repro.net.topogen.figure1_graph` via
-        ``GeneratedTopology.as_paper_network()`` — in place of the
-        hand-built :func:`build_paper_network`.  The injected network
-        must have been constructed with the same seed and protocol
-        configs as ``config`` carries; the generator-equivalence
-        fixture (tests/net/test_topogen_equivalence.py) pins that the
-        two constructions behave identically."""
+    def __init__(self, config: Optional[ScenarioConfig] = None) -> None:
         self.config = config or ScenarioConfig()
         cfg = self.config
-        self.paper: PaperNetwork = paper or build_paper_network(
+        self.paper = build_paper_network(
             seed=cfg.seed,
             mld_config=cfg.mld,
             pim_config=cfg.pim,
@@ -99,17 +121,17 @@ class PaperScenario:
             link_bandwidth_bps=cfg.link_bandwidth_bps,
         )
         self.net = self.paper.net
-        self.group: Address = self.paper.group
+        self.group: Address = make_multicast_group(1)
         self.traffic = make_traffic_model(
             cfg.traffic_model, probe_interval=cfg.probe_interval
         )
         self.traffic.attach(self.net)
         self.metrics = ScenarioMetrics(self.net)
         self.apps: Dict[str, ReceiverApp] = {
-            name: ReceiverApp(self.paper.hosts[name]) for name in ("R1", "R2", "R3")
+            name: ReceiverApp(self.paper.hosts[name]) for name in RECEIVERS
         }
         self.source = self.traffic.add_cbr(
-            self.paper.sender,
+            self.paper.hosts["S"],
             self.group,
             packet_interval=cfg.packet_interval,
             payload_bytes=cfg.payload_bytes,
@@ -141,7 +163,7 @@ class PaperScenario:
         self._converged = True
         cfg = self.config
         self.net.start()
-        for name in ("R1", "R2", "R3"):
+        for name in RECEIVERS:
             host = self.paper.hosts[name]
             self.net.sim.schedule_at(
                 cfg.join_time, host.join_group, self.group, label=f"{name}.join"
@@ -180,7 +202,7 @@ class PaperScenario:
     def move(self, host_name: str, link_name: str, at: Optional[float] = None) -> float:
         """Schedule (or perform) a host move; returns the move time."""
         host = self.paper.hosts[host_name]
-        link = self.paper.link(link_name)
+        link = self.net.link(link_name)
         when = at if at is not None else self.net.now
         if when <= self.net.now:
             host.move_to(link)
@@ -193,7 +215,7 @@ class PaperScenario:
     # ------------------------------------------------------------------
     def current_tree(self) -> Dict[str, list]:
         """Forwarding links per router for the sender's original flow."""
-        return self.paper.tree_links(self.paper.sender.home_address, self.group)
+        return self.paper.tree_links(self.paper.hosts["S"].home_address, self.group)
 
     def tree_for_source(self, source: Address) -> Dict[str, list]:
         return self.paper.tree_links(source, self.group)

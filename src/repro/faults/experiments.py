@@ -44,6 +44,7 @@ from .resilience import (
 )
 
 __all__ = [
+    "loss_plan",
     "loss_receiver_run",
     "ha_crash_run",
     "fault_sweep_cells",
@@ -66,7 +67,7 @@ CRASH_MIPV6 = MobileIpv6Config(
 )
 
 
-def _loss_plan(
+def loss_plan(
     model: str,
     link: str,
     rate: float,
@@ -142,7 +143,7 @@ def loss_receiver_run(
     )
     # The join/BU exchange fires 1.6 s after the move (handoff 0.1 s +
     # movement detection 1.0 s + CoA configuration 0.5 s).
-    plan = _loss_plan(
+    plan = loss_plan(
         model, move_link, loss_rate, fault_at, move_at + 1.5, handoff_blackout
     )
     injector = FaultInjector(sc.net, plan).arm()

@@ -195,6 +195,10 @@ class LinkStats:
         return self.drops_by_reason.get(reason, 0)
 
 
+#: what a read of a link that carried nothing sees; never written
+_NO_TRAFFIC = LinkStats()
+
+
 class NetworkStats:
     """Aggregated accounting across all links of a topology."""
 
@@ -239,10 +243,16 @@ class NetworkStats:
         }
 
     def stats_for(self, link_name: str) -> LinkStats:
+        """The link's counters, created on first use (writers only)."""
         stats = self._per_link.get(link_name)
         if stats is None:
             stats = self._per_link[link_name] = LinkStats()
         return stats
+
+    def _read(self, link_name: str) -> LinkStats:
+        """The link's counters for a read: an unknown link reads 0 and
+        is not added to later snapshots."""
+        return self._per_link.get(link_name, _NO_TRAFFIC)
 
     def account_drop(self, link_name: str, reason: str) -> None:
         self.stats_for(link_name).record_drop(reason)
@@ -265,11 +275,11 @@ class NetworkStats:
 
     def link_bytes(self, link_name: str, category: Optional[str] = None) -> int:
         self._sync()
-        return self.stats_for(link_name).bytes(category)
+        return self._read(link_name).bytes(category)
 
     def link_packets(self, link_name: str, category: Optional[str] = None) -> int:
         self._sync()
-        return self.stats_for(link_name).packets(category)
+        return self._read(link_name).packets(category)
 
     def total_bytes(
         self,
@@ -278,7 +288,7 @@ class NetworkStats:
     ) -> int:
         self._sync()
         names = list(links) if links is not None else list(self._per_link)
-        return sum(self.stats_for(n).bytes(category) for n in names)
+        return sum(self._read(n).bytes(category) for n in names)
 
     def total_packets(
         self,
@@ -287,14 +297,14 @@ class NetworkStats:
     ) -> int:
         self._sync()
         names = list(links) if links is not None else list(self._per_link)
-        return sum(self.stats_for(n).packets(category) for n in names)
+        return sum(self._read(n).packets(category) for n in names)
 
     def signaling_bytes(self, links: Optional[Iterable[str]] = None) -> int:
         """All protocol-control bytes (MLD + PIM + Mobile IPv6)."""
         return sum(self.total_bytes(c, links) for c in ("mld", "pim", "mipv6"))
 
     def link_drops(self, link_name: str, reason: Optional[str] = None) -> int:
-        return self.stats_for(link_name).drops(reason)
+        return self._read(link_name).drops(reason)
 
     def total_drops(
         self,
@@ -302,7 +312,7 @@ class NetworkStats:
         links: Optional[Iterable[str]] = None,
     ) -> int:
         names = list(links) if links is not None else list(self._per_link)
-        return sum(self.stats_for(n).drops(reason) for n in names)
+        return sum(self._read(n).drops(reason) for n in names)
 
     def drops_snapshot(self) -> Dict[str, Dict[str, int]]:
         """Copy of all drop counters: link -> reason -> frames."""

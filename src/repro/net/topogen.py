@@ -1,10 +1,11 @@
-"""Seeded, deterministic topology generation (ROADMAP item 1).
+"""Seeded, deterministic topology generation.
 
-Everything before this module ran on the paper's hand-built Figure 1
-network.  :mod:`repro.net.topogen` generates internet-scale topologies
-as pure data — a frozen :class:`TopoGraph` of link/router/host specs —
-and instantiates them into the existing :class:`~repro.net.topology.
-Network` / :class:`~repro.net.link.Link` / node machinery:
+:mod:`repro.net.topogen` describes every network the simulator runs,
+from the paper's Figure 1 up to internet-scale topologies, as pure
+data — a frozen :class:`TopoGraph` of link/router/host specs — and
+:func:`build_network` instantiates it into the existing
+:class:`~repro.net.topology.Network` / :class:`~repro.net.link.Link` /
+node machinery:
 
 * :func:`hierarchical_graph` — ISP-like trees with configurable
   fanout/depth (every router owns a "down" LAN its children attach
@@ -15,8 +16,10 @@ Network` / :class:`~repro.net.link.Link` / node machinery:
   square with a deterministic connectivity-repair pass (closest pair
   across components; never self-loops, never parallel links), plus one
   stub LAN per router for host placement,
-* :func:`figure1_graph` — the paper's Figure 1 expressed as a
-  TopoGraph, pinned equivalent to the hand-built network.
+* :func:`figure1_graph` — the paper's Figure 1, built from the
+  Figure 1 facts declared beside it (link prefixes, router
+  attachments, host ids, the home agent of each link); every Figure
+  run builds its network from it.
 
 Determinism contract: a TopoGraph is a pure function of ``(model,
 params, seed)``; its :meth:`~TopoGraph.digest` is the SHA-256 of the
@@ -49,9 +52,14 @@ from .topology import Network
 __all__ = [
     "AttachmentSpec",
     "GeneratedTopology",
+    "HOME_AGENT_OF_LINK",
+    "HOST_HOMES",
     "HostSpec",
+    "LINK_PREFIXES",
     "LinkSpec",
     "MODELS",
+    "ROUTER_HOST_IDS",
+    "ROUTER_LINKS",
     "RouterSpec",
     "TopoGraph",
     "build_network",
@@ -611,24 +619,70 @@ def waxman_graph(
     )
 
 
-def figure1_graph() -> TopoGraph:
-    """The paper's Figure 1 network as a TopoGraph.
+# ----------------------------------------------------------------------
+# the paper's Figure 1
+# ----------------------------------------------------------------------
+#: Per-link IPv6 prefixes (Link i gets 2001:db8:i::/64).
+LINK_PREFIXES: Dict[str, str] = {f"L{i}": f"2001:db8:{i}::/64" for i in range(1, 7)}
 
-    Mirrors ``repro.core.paper_topology`` exactly (same names, same
-    construction order, same host ids), so building it yields a network
-    behaviourally identical to :func:`build_paper_network` — the
-    equivalence fixture pins this.
+#: Router attachment map inferred from Figure 1 (see :func:`figure1_graph`).
+ROUTER_LINKS: Dict[str, List[str]] = {
+    "A": ["L1", "L2"],
+    "B": ["L2", "L3"],
+    "C": ["L2", "L3"],
+    "D": ["L3", "L4", "L5"],
+    "E": ["L3", "L6"],
+}
+
+#: Interface identifiers for the routers (A=1 ... E=5) on every link.
+ROUTER_HOST_IDS: Dict[str, int] = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 5}
+
+#: Home agent of each link (paper §4.2: "Router A is home agent on
+#: Link 1, Router B on Link 2, Router C on Link 3, Router D on Link 4
+#: and 5, and Router E on Link 6").
+HOME_AGENT_OF_LINK: Dict[str, str] = {
+    "L1": "A",
+    "L2": "B",
+    "L3": "C",
+    "L4": "D",
+    "L5": "D",
+    "L6": "E",
+}
+
+#: (home link, interface id) of each host of Figure 1.
+HOST_HOMES: Dict[str, Tuple[str, int]] = {
+    "S": ("L1", 100),
+    "R1": ("L1", 101),
+    "R2": ("L2", 102),
+    "R3": ("L4", 103),
+}
+
+
+def figure1_graph(
+    link_delay: float = 0.5e-3, link_bandwidth_bps: float = 100e6
+) -> TopoGraph:
+    """The paper's evaluation network (Figure 1) as a TopoGraph.
+
+    Six links, five routers (each a PIM-DM router *and* home agent,
+    §4.2), four hosts:
+
+    * Link 1: Sender S, Receiver 1, Router A          (HA of Link 1: A)
+    * Link 2: Router A, Router B, Router C, Receiver 2 (HA of Link 2: B)
+    * Link 3: Router B, Router C, Router D, Router E   (HA of Link 3: C)
+    * Link 4: Router D, Receiver 3                     (HA of Link 4: D)
+    * Link 5: Router D                                 (HA of Link 5: D)
+    * Link 6: Router E                                 (HA of Link 6: E)
+
+    Routers B and C attach in parallel between Links 2 and 3 — the pair
+    whose parallel forwarding exercises the PIM-DM assert election
+    (§3.1).  See DESIGN.md §3 for the inference argument behind this
+    reading of Figure 1.  The initial distribution tree for (S on
+    Link 1, G) matches the figure: Link 1 → A → Link 2 → (B‖C,
+    assert-elected) → Link 3 → D → Link 4; Links 5 and 6 stay off-tree.
     """
-    from ..core.paper_topology import (
-        HOME_AGENT_OF_LINK,
-        HOST_HOMES,
-        LINK_PREFIXES,
-        ROUTER_HOST_IDS,
-        ROUTER_LINKS,
-    )
-
     links = tuple(
-        LinkSpec(name, prefix) for name, prefix in LINK_PREFIXES.items()
+        LinkSpec(name, prefix, delay=link_delay, bandwidth_bps=link_bandwidth_bps)
+        for name, prefix in LINK_PREFIXES.items()
     )
     routers = tuple(
         RouterSpec(
@@ -642,7 +696,7 @@ def figure1_graph() -> TopoGraph:
     )
     hosts = tuple(
         HostSpec(name, home_link, host_id)
-        for name, (home_link, _ha, host_id) in HOST_HOMES.items()
+        for name, (home_link, host_id) in HOST_HOMES.items()
     )
     return TopoGraph(
         model="figure1",
@@ -717,6 +771,9 @@ class GeneratedTopology:
     _send_mode: Any = None
 
     # -- sugar ----------------------------------------------------------
+    def link(self, name: str):
+        return self.net.link(name)
+
     def router(self, name: str):
         return self.routers[name]
 
@@ -837,19 +894,6 @@ class GeneratedTopology:
             name: router.pim.forwarding_links(source, group)
             for name, router in sorted(self.routers.items())
         }
-
-    def as_paper_network(self, group: Optional[Address] = None):
-        """A :class:`~repro.core.paper_topology.PaperNetwork` view over
-        this built topology (for the Figure 1 equivalence fixture and
-        anything written against the hand-built API)."""
-        from ..core.paper_topology import PaperNetwork
-
-        return PaperNetwork(
-            net=self.net,
-            group=group if group is not None else make_multicast_group(1),
-            routers=dict(self.routers),
-            hosts=dict(self.hosts),
-        )
 
 
 def build_network(

@@ -158,14 +158,14 @@ class TestFigure4:
         assert tree["D"] == ["L4"]
 
     def test_no_new_source_tree(self, fig4):
-        coa = fig4.paper.sender.care_of_address
+        coa = fig4.paper.host("S").care_of_address
         assert coa is not None
         assert fig4.metrics.entries_created(source=coa, since=40.0) == 0
 
     def test_reverse_tunnel_carries_traffic(self, fig4):
         a = fig4.paper.router("A")
         assert a.reverse_tunneled > 500
-        assert fig4.paper.sender.load["encapsulations"] > 500
+        assert fig4.paper.host("S").load["encapsulations"] > 500
 
     def test_receivers_keep_receiving(self, fig4):
         for name in ("R1", "R2", "R3"):
@@ -174,7 +174,7 @@ class TestFigure4:
     def test_inner_source_is_home_address(self, fig4):
         """Tunneled datagrams carry the home address as inner source, so
         the original (S on Link 1, G) tree keeps matching."""
-        home = fig4.paper.sender.home_address
+        home = fig4.paper.host("S").home_address
         deliveries = fig4.net.tracer.query(
             "mcast.deliver", node="R3", since=50.0, src=str(home)
         )

@@ -58,12 +58,12 @@ class TestCounts:
         assert ran.metrics.prune_count() >= 1
 
     def test_entries_created_filter(self, ran):
-        src = ran.paper.sender.home_address
+        src = ran.paper.host("S").home_address
         assert ran.metrics.entries_created(source=src) == 5
         assert ran.metrics.entries_created() >= 5
 
     def test_flood_extent(self, ran):
-        src = ran.paper.sender.home_address
+        src = ran.paper.host("S").home_address
         links = ran.metrics.flood_extent(src, ran.group)
         assert "L2" in links and "L3" in links and "L4" in links
 

@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.core import HOST_HOMES, LINK_PREFIXES, ROUTER_LINKS, build_paper_network
+from repro.core import PaperScenario, build_paper_network
 from repro.mipv6 import HomeAgent
 from repro.net import Address
+from repro.net.topogen import (
+    HOME_AGENT_OF_LINK,
+    HOST_HOMES,
+    LINK_PREFIXES,
+    ROUTER_LINKS,
+    figure1_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +20,15 @@ def paper():
 
 
 class TestStructure:
+    def test_figure1_graph_constants(self):
+        graph = figure1_graph()
+        assert [l.name for l in graph.links] == [f"L{i}" for i in range(1, 7)]
+        assert [r.name for r in graph.routers] == ["A", "B", "C", "D", "E"]
+        assert graph.ha_of("L4") == "D" and graph.ha_of("L2") == "B"
+        assert dict(graph.home_agents) == HOME_AGENT_OF_LINK
+        assert [h.name for h in graph.hosts] == ["S", "R1", "R2", "R3"]
+        graph.validate()
+
     def test_six_links(self, paper):
         assert sorted(paper.net.links) == [f"L{i}" for i in range(1, 7)]
 
@@ -41,7 +57,7 @@ class TestStructure:
         assert not d.serves_home_address(Address("2001:db8:1::1"))
 
     def test_hosts_at_their_home_links(self, paper):
-        for name, (home_link, _ha, _id) in HOST_HOMES.items():
+        for name, (home_link, _id) in HOST_HOMES.items():
             host = paper.hosts[name]
             assert host.current_link.name == home_link
             assert host.at_home
@@ -53,13 +69,12 @@ class TestStructure:
         assert paper.hosts["R2"].home_agent_address == Address("2001:db8:2::2")
         assert paper.hosts["R3"].home_agent_address == Address("2001:db8:4::4")
 
-    def test_group_is_global_multicast(self, paper):
-        assert paper.group.is_multicast
-        assert not paper.group.is_link_scope_multicast
+    def test_group_is_global_multicast(self):
+        group = PaperScenario().group
+        assert group.is_multicast
+        assert not group.is_link_scope_multicast
 
     def test_sugar_accessors(self, paper):
-        assert paper.sender is paper.hosts["S"]
-        assert [r.name for r in paper.receivers] == ["R1", "R2", "R3"]
         assert paper.link("L3").name == "L3"
         assert paper.router("E").name == "E"
         assert paper.host("R3").name == "R3"

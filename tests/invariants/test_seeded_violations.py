@@ -116,7 +116,7 @@ class TestPimDmOracle:
             i for i in sc.net.nodes[node].interfaces
             if i.link is not None and i.link.name == link
         )
-        source = str(sc.paper.sender.home_address)
+        source = str(sc.paper.host("S").home_address)
         sc.net.tracer.record(
             "pim", node, event="assert-lost", iface=iface.name,
             winner="fe80::beef", source=source, group=str(sc.group),
@@ -127,7 +127,7 @@ class TestPimDmOracle:
     def test_parallel_forwarders_persist(self):
         sc, monitor = scenario_with_monitor(LOCAL_MEMBERSHIP)
         sc.converge()
-        source, group = str(sc.paper.sender.home_address), str(sc.group)
+        source, group = str(sc.paper.host("S").home_address), str(sc.group)
 
         def duplicate(uid, node):
             sc.net.tracer.record(

@@ -117,7 +117,8 @@ class TestFibComputation:
 
     def test_metrics_match_networkx(self):
         """Cross-check hop metrics on the paper topology against networkx."""
-        from repro.core import ROUTER_LINKS, build_paper_network
+        from repro.core import build_paper_network
+        from repro.net.topogen import ROUTER_LINKS
 
         paper = build_paper_network(seed=0)
         paper.net.build_routes()

@@ -90,6 +90,20 @@ class TestAccounting:
         assert stats.link_bytes("nope") == 0
         assert stats.link_packets("nope") == 0
 
+    def test_read_of_unknown_link_adds_no_entry(self):
+        stats = NetworkStats()
+        stats.stats_for("L1").account(Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0)))
+        stats.account_drop("L2", "link-loss")
+        assert stats.link_bytes("typo") == 0
+        assert stats.link_packets("typo") == 0
+        assert stats.link_drops("typo") == 0
+        assert stats.total_bytes(links=["typo"]) == 0
+        assert stats.total_packets(links=["typo"]) == 0
+        assert stats.total_drops(links=["typo"]) == 0
+        assert sorted(stats.snapshot()) == ["L1", "L2"]
+        assert sorted(stats.drops_snapshot()) == ["L2"]
+        assert "typo" not in stats.render()
+
     def test_render_contains_links(self):
         stats = NetworkStats()
         stats.stats_for("L9").account(Ipv6Packet(SRC, GROUP, ApplicationData(seqno=0)))

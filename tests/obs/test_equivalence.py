@@ -168,7 +168,7 @@ def scenario_metric_values(sc):
         "prunes": sc.metrics.prune_count(),
         "entries": sc.metrics.entries_created(),
         "flood_extent": sc.metrics.flood_extent(
-            sc.paper.sender.home_address, sc.group
+            sc.paper.host("S").home_address, sc.group
         ),
         "move_start": sc.metrics.move_start_time("R3"),
         "attach": sc.metrics.attach_time("R3", "L6"),
@@ -261,10 +261,10 @@ class TestJsonlRoundTrip:
         links = set()
         for ev in archive.query(
             "mcast.forward",
-            source=str(sc.paper.sender.home_address),
+            source=str(sc.paper.host("S").home_address),
             group=str(sc.group),
         ):
             links.update(ev.detail.get("links", []))
         assert sorted(links) == metrics.flood_extent(
-            sc.paper.sender.home_address, sc.group
+            sc.paper.host("S").home_address, sc.group
         )

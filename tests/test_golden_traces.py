@@ -3,10 +3,11 @@
 Every Figure 2-4 scenario (the canned runs in
 :mod:`repro.core.goldens`) has a committed digest of its full trace
 event stream under ``tests/goldens/``, computed over the schema-v1
-JSONL serialization of :mod:`repro.obs.export`.  These tests re-run
-each scenario and compare digests byte-for-byte, so *any* behavioural
-drift — one extra packet, one reordered timer, one changed detail
-field — fails loudly.
+JSONL serialization of :mod:`repro.obs.export`: one per traffic engine
+(``figN-seed0.json`` for packet mode, ``figN-fluid-seed0.json`` for the
+fluid engine).  These tests re-run each scenario and compare digests
+byte-for-byte, so *any* behavioural drift — one extra packet, one
+reordered timer, one changed detail field — fails loudly.
 
 After an intentional behaviour change, regenerate the digests with::
 
@@ -24,31 +25,57 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.goldens import run_canned
+from repro.core import PaperScenario, ScenarioConfig
+from repro.core.goldens import CANNED_RUNS, run_canned
 from repro.obs import FORMAT_VERSION, digest_events
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
-#: (scenario, seed) pairs with committed digests.
-CASES = (("fig2", 0), ("fig3", 0), ("fig4", 0))
+#: (scenario, seed, traffic model) triples with committed digests;
+#: packet-mode cases keep their ``figN-seed`` ids.
+CASES = tuple(
+    pytest.param(
+        name, 0, model, id=f"{name}-0" if model == "packet" else f"{name}-{model}-0"
+    )
+    for model in ("packet", "fluid")
+    for name in ("fig2", "fig3", "fig4")
+)
 
 
-def golden_record(name: str, seed: int) -> dict:
-    sc = run_canned(name, seed=seed)
+def golden_path(name: str, seed: int, traffic_model: str = "packet") -> Path:
+    engine = "" if traffic_model == "packet" else f"-{traffic_model}"
+    return GOLDEN_DIR / f"{name}{engine}-seed{seed}.json"
+
+
+def canned_scenario(name: str, seed: int, traffic_model: str) -> PaperScenario:
+    """The figure's scenario on ``traffic_model``, built but not played."""
+    config = ScenarioConfig(
+        seed=seed, approach=CANNED_RUNS[name].approach, traffic_model=traffic_model
+    )
+    return PaperScenario(config)
+
+
+def golden_record(name: str, seed: int, traffic_model: str = "packet") -> dict:
+    sc = CANNED_RUNS[name].play(canned_scenario(name, seed, traffic_model))
     events = sc.net.tracer.events
-    return {
+    record = {
         "scenario": name,
         "seed": seed,
         "schema_version": FORMAT_VERSION,
         "events": len(events),
         "digest": digest_events(events),
     }
+    if traffic_model != "packet":
+        record["traffic_model"] = traffic_model
+    return record
 
 
-@pytest.mark.parametrize("name,seed", CASES)
-def test_golden_trace(name: str, seed: int, update_goldens: bool) -> None:
-    record = golden_record(name, seed)
-    path = GOLDEN_DIR / f"{name}-seed{seed}.json"
+@pytest.mark.parametrize("name,seed,traffic_model", CASES)
+def test_golden_trace(
+    name: str, seed: int, traffic_model: str, update_goldens: bool
+) -> None:
+    record = golden_record(name, seed, traffic_model)
+    path = golden_path(name, seed, traffic_model)
     if update_goldens:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -90,24 +117,21 @@ def test_golden_reruns_are_process_independent() -> None:
     assert a == b
 
 
-@pytest.mark.parametrize("name,seed", CASES)
-def test_golden_unchanged_with_compaction_forced(name: str, seed: int) -> None:
+@pytest.mark.parametrize("name,seed,traffic_model", CASES)
+def test_golden_unchanged_with_compaction_forced(
+    name: str, seed: int, traffic_model: str
+) -> None:
     """Heap compaction on *every* cancellation must not move a single
     event: the digests must match the committed goldens byte-for-byte.
 
     Compaction preserves the ``(time, seq)`` heap keys, so this holds by
     construction — and this test keeps it that way.
     """
-    from repro.core import PaperScenario, ScenarioConfig
-    from repro.core.goldens import CANNED_RUNS
-
-    recipe = CANNED_RUNS[name]
-    sc = PaperScenario(ScenarioConfig(seed=seed, approach=recipe.approach))
+    sc = canned_scenario(name, seed, traffic_model)
     sc.net.sim.set_compaction(0, 0.0)  # compact on every cancellation
-    recipe.play(sc)
+    CANNED_RUNS[name].play(sc)
 
-    path = GOLDEN_DIR / f"{name}-seed{seed}.json"
-    golden = json.loads(path.read_text())
+    golden = json.loads(golden_path(name, seed, traffic_model).read_text())
     events = sc.net.tracer.events
     assert len(events) == golden["events"]
     assert digest_events(events) == golden["digest"]

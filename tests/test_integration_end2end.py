@@ -16,7 +16,6 @@ from repro.core import (
     PaperScenario,
     ScenarioConfig,
 )
-from repro.mipv6 import DeliveryMode
 from repro.net import make_multicast_group
 from repro.traffic import CbrSource, ReceiverApp
 
@@ -61,10 +60,7 @@ class TestTwoTunnelReceiversOneLink:
     @pytest.fixture(scope="class")
     def sc(self):
         sc = PaperScenario(ScenarioConfig(seed=32, approach=BIDIRECTIONAL_TUNNEL))
-        extra = sc.paper.add_mobile_host(
-            "R4", "L4", host_id=140,
-            recv_mode=DeliveryMode.HA_TUNNEL, send_mode=DeliveryMode.HA_TUNNEL,
-        )
+        extra = sc.paper.add_host("R4", "L4", host_id=140)
         sc.extra_app = ReceiverApp(extra)
         sc.converge()
         extra.join_group(sc.group)
@@ -99,7 +95,7 @@ class TestTwoTunnelReceiversOneLink:
         """Contrast: under local membership the same two receivers share
         a single multicast copy on Link 6."""
         sc = PaperScenario(ScenarioConfig(seed=33, approach=LOCAL_MEMBERSHIP))
-        extra = sc.paper.add_mobile_host("R4", "L4", host_id=140)
+        extra = sc.paper.add_host("R4", "L4", host_id=140)
         app = ReceiverApp(extra)
         sc.converge()
         extra.join_group(sc.group)
