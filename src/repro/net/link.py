@@ -248,10 +248,10 @@ class Link:
             link_stats.account(packet)
         size = packet.size_bytes
         tracer = self.tracer
-        if tracer is not None and tracer.wants("link"):
-            # wants() pre-filters before the describe()/kwargs cost:
-            # "link" is the one per-frame category and is routinely
-            # disabled for long benchmark runs.
+        if tracer is not None and tracer.wanted["link"]:
+            # pre-filtered before the describe()/kwargs cost: "link" is
+            # the one per-frame category and is routinely disabled for
+            # long benchmark runs.
             tracer.record(
                 "link",
                 self.name,

@@ -338,7 +338,7 @@ class Host(Node):
         message = packet.inner.payload
         if isinstance(message, ApplicationData):
             tracer = self.tracer
-            if tracer is not None and tracer.wants("mcast.deliver"):
+            if tracer is not None and tracer.wanted["mcast.deliver"]:
                 self.trace(
                     "mcast.deliver",
                     group=str(packet.inner.dst),

@@ -43,6 +43,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.rng import derive_seed
@@ -165,10 +166,25 @@ class TopoGraph:
 
     # -- structure queries ---------------------------------------------
     def ha_of(self, link_name: str) -> str:
+        try:
+            return self._ha_by_link[link_name]
+        except KeyError:
+            raise KeyError(f"no home agent for link {link_name!r}") from None
+
+    @cached_property
+    def _ha_by_link(self) -> Dict[str, str]:
+        """link name -> home-agent router, built once; the first pair
+        for a link wins, as in ``home_agents`` order."""
+        table: Dict[str, str] = {}
         for link, router in self.home_agents:
-            if link == link_name:
-                return router
-        raise KeyError(f"no home agent for link {link_name!r}")
+            table.setdefault(link, router)
+        return table
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # pickles carry the fields only, not the derived lookup table
+        state = dict(self.__dict__)
+        state.pop("_ha_by_link", None)
+        return state
 
     def routers_on(self) -> Dict[str, List[str]]:
         """link name -> router names attached, attachment order."""

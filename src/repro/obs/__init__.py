@@ -11,8 +11,9 @@ The measurement stack of the reproduction:
 * :mod:`repro.obs.profiler` — :class:`KernelProfiler`, per-label
   dispatch count / wall-clock aggregation inside the simulation
   kernel,
-* :mod:`repro.obs.export` — JSONL trace export/import and
-  :class:`TraceArchive` for offline re-analysis of saved runs,
+* :mod:`repro.obs.export` — JSONL trace export/import,
+  :class:`TraceArchive` for offline re-analysis of saved runs, and
+  :class:`EventDigest`, a run's golden digest taken live,
 * :mod:`repro.obs.spans` — causal span reconstruction: handover /
   graft / assert / prune-override transactions rebuilt from the trace
   stream (live via :class:`SpanRecorder` or offline via
@@ -23,6 +24,7 @@ See ``docs/OBSERVABILITY.md`` for the guided tour.
 
 from .export import (
     FORMAT_VERSION,
+    EventDigest,
     TraceArchive,
     digest_events,
     event_record,
@@ -60,6 +62,7 @@ from .store import TraceQueryMixin, TraceStore
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
+    "EventDigest",
     "FORMAT_VERSION",
     "Gauge",
     "HANDOVER_PHASES",

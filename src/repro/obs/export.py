@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
 from .store import TraceQueryMixin, TraceStore
 
 __all__ = [
+    "EventDigest",
     "FORMAT_VERSION",
     "TraceArchive",
     "digest_events",
@@ -74,6 +75,27 @@ def event_record(event: Any) -> Dict[str, Any]:
     }
 
 
+class EventDigest:
+    """:func:`digest_events` fed one event at a time, as a listener.
+
+    ``tracer.add_listener(digest)`` hashes each event as it is recorded,
+    so :meth:`hexdigest` gives a run's golden digest with
+    ``Tracer.retain = False``: no stored trace is needed.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256(f"version:{FORMAT_VERSION}\n".encode())
+
+    def __call__(self, event: Any) -> None:
+        self._hash.update(json.dumps(event_record(event)).encode())
+        self._hash.update(b"\n")
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
 def digest_events(events: Iterable[Any]) -> str:
     """SHA-256 over the schema-v1 serialization of an event stream.
 
@@ -83,12 +105,10 @@ def digest_events(events: Iterable[Any]) -> str:
     the contract of the golden-trace regression suite
     (``tests/goldens/``).
     """
-    h = hashlib.sha256()
-    h.update(f"version:{FORMAT_VERSION}\n".encode())
+    digest = EventDigest()
     for event in events:
-        h.update(json.dumps(event_record(event)).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+        digest(event)
+    return digest.hexdigest()
 
 
 def export_run(

@@ -327,7 +327,7 @@ class PimDmEngine:
                 entry.packets_forwarded += 1
                 self.node.load["packets_forwarded"] += len(outs)
                 tracer = self.node.tracer
-                if tracer is not None and tracer.wants("mcast.forward"):
+                if tracer is not None and tracer.wanted["mcast.forward"]:
                     self.node.trace(
                         "mcast.forward",
                         source=str(source),

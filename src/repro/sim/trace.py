@@ -63,6 +63,21 @@ class TraceEvent:
         return f"[{self.time:10.3f}] {self.category:<14} {self.node:<10} {kv}"
 
 
+class _Wanted(dict):
+    """A tracer's category -> wanted? answers, each computed on first
+    ask (a plain dict hit after that)."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer") -> None:
+        super().__init__()
+        self._tracer = tracer
+
+    def __missing__(self, category: str) -> bool:
+        wanted = self[category] = self._tracer._wanted(category)
+        return wanted
+
+
 class Tracer(TraceQueryMixin):
     """Collects :class:`TraceEvent` records and serves indexed queries.
 
@@ -98,10 +113,11 @@ class Tracer(TraceQueryMixin):
         #: categories some filtered listener takes; None once an
         #: unfiltered listener takes every category
         self._listened: Optional[set] = set()
-        #: category -> wanted? memo, so the hot path (record / wants)
-        #: is a single dict hit instead of two set probes; invalidated
-        #: by enable/disable, retention and listener changes.
-        self._active_cache: Dict[str, bool] = {}
+        #: category -> :meth:`wants` answer, read directly by the
+        #: per-frame producers (``tracer.wanted["link"]``: no call);
+        #: filled on first ask and emptied by enable/disable, retention
+        #: and listener changes.  Do not write to it.
+        self.wanted: Dict[str, bool] = _Wanted(self)
 
     # ------------------------------------------------------------------
     def record(
@@ -118,10 +134,7 @@ class Tracer(TraceQueryMixin):
         dict passed positionally (``Node.trace`` hands over its kwargs
         without unpacking them again); the event keeps that dict.
         """
-        active = self._active_cache.get(category)
-        if active is None:
-            active = self._active_cache[category] = self._wanted(category)
-        if not active:
+        if not self.wanted[category]:
             return
         if detail is None:
             detail = fields
@@ -136,16 +149,13 @@ class Tracer(TraceQueryMixin):
 
         High-volume producers (``Link.transmit``'s ``link`` records,
         the PIM-DM data path's ``mcast.forward``, host delivery's
-        ``mcast.deliver``) check this *before* building the event
-        detail — an unwanted category then costs one dict lookup
-        instead of a kwargs dict per frame.  An enabled category is
-        unwanted only when the store keeps nothing and no listener
-        takes it.
+        ``mcast.deliver``) read the same answer from :attr:`wanted`
+        *before* building the event detail — an unwanted category then
+        costs one dict lookup instead of a kwargs dict per frame.  An
+        enabled category is unwanted only when the store keeps nothing
+        and no listener takes it.
         """
-        active = self._active_cache.get(category)
-        if active is None:
-            active = self._active_cache[category] = self._wanted(category)
-        return active
+        return self.wanted[category]
 
     def _wanted(self, category: str) -> bool:
         if not self.is_enabled(category):
@@ -161,7 +171,7 @@ class Tracer(TraceQueryMixin):
     @retain.setter
     def retain(self, value: bool) -> None:
         self._retain = bool(value)
-        self._active_cache.clear()
+        self.wanted.clear()
 
     def add_listener(
         self,
@@ -175,7 +185,7 @@ class Tracer(TraceQueryMixin):
         control-plane categories then costs one membership probe per
         data-plane event instead of a full callback.
         """
-        self._active_cache.clear()
+        self.wanted.clear()
         if categories is not None:
             cats = frozenset(categories)
             if self._listened is not None:
@@ -193,7 +203,7 @@ class Tracer(TraceQueryMixin):
     def disable(self, category: str) -> None:
         """Stop recording ``category`` (existing events are kept)."""
         self._disabled.add(category)
-        self._active_cache.clear()
+        self.wanted.clear()
 
     def enable(self, category: str) -> None:
         """(Re-)enable recording of ``category``.
@@ -204,7 +214,7 @@ class Tracer(TraceQueryMixin):
         self._disabled.discard(category)
         if self._enabled is not None:
             self._enabled.add(category)
-        self._active_cache.clear()
+        self.wanted.clear()
 
     def is_enabled(self, category: str) -> bool:
         """Would an event in ``category`` be recorded right now?"""

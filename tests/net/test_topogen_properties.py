@@ -9,6 +9,10 @@ never manufactures self-loops or parallel links.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.topogen import (
@@ -187,3 +191,48 @@ class TestWaxmanRepair:
         graph = waxman_graph(n=1, seed=0)
         assert_well_formed(graph)
         assert len(graph.routers) == 1
+
+
+def _scan_ha_of(graph: TopoGraph, link_name: str) -> str:
+    """The linear scan ``TopoGraph.ha_of`` used to make on every call."""
+    for link, router in graph.home_agents:
+        if link == link_name:
+            return router
+    raise KeyError(f"no home agent for link {link_name!r}")
+
+
+GRAPH_MAKERS = {
+    "figure1": figure1_graph,
+    "hier": lambda: hierarchical_graph(depth=3, fanout=4, seed=0),
+    "waxman": lambda: waxman_graph(n=20, seed=0),
+    "fattree": lambda: fattree_graph(k=4, seed=0),
+}
+
+
+class TestHomeAgentLookup:
+    @pytest.mark.parametrize("model", sorted(GRAPH_MAKERS))
+    def test_every_link_gives_the_scans_answer(self, model):
+        graph = GRAPH_MAKERS[model]()
+        for link in graph.links:
+            assert graph.ha_of(link.name) == _scan_ha_of(graph, link.name)
+
+    def test_first_pair_for_a_link_wins(self):
+        graph = figure1_graph()
+        first, router = graph.home_agents[0]
+        doubled = replace(graph, home_agents=graph.home_agents + ((first, "other"),))
+        assert doubled.ha_of(first) == router == _scan_ha_of(doubled, first)
+
+    def test_unknown_link_keeps_the_error_text(self):
+        with pytest.raises(KeyError, match="no home agent for link 'nope'"):
+            figure1_graph().ha_of("nope")
+
+    @pytest.mark.parametrize("model", sorted(GRAPH_MAKERS))
+    def test_lookup_leaves_identity_alone(self, model):
+        make = GRAPH_MAKERS[model]
+        fresh = pickle.dumps(make())
+        graph = make()
+        for link in graph.links:
+            graph.ha_of(link.name)
+        assert pickle.dumps(graph) == fresh
+        assert pickle.loads(fresh) == graph and hash(pickle.loads(fresh)) == hash(graph)
+        assert graph.digest() == make().digest()

@@ -1,6 +1,7 @@
 """Unit tests for the indexed trace store."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.store import TraceStore
 from repro.sim.trace import TraceEvent
@@ -163,3 +164,96 @@ class TestRingMode:
             unbounded.append(ev(*row))
             ring.append(ev(*row))
         assert ring.events == unbounded.events
+
+
+class TestIndexOnFirstQuery:
+    def test_append_builds_no_index(self):
+        store = fill(TraceStore(), DEFAULT_ROWS)
+        assert store._times == [] and store._by_category == {} and store._by_node == {}
+        assert store.count(category="mld") == 3
+        assert len(store._times) == 5
+
+    def test_ring_compaction_builds_no_index(self):
+        store = TraceStore(capacity=10)
+        for i in range(1000):
+            store.append(ev(float(i), f"c{i % 3}", "n"))
+        assert len(store._events) <= 20
+        assert store._times == [] and store._by_category == {}
+        assert [e.time for e in store.select(category="c0")] == [990.0, 993.0, 996.0, 999.0]
+
+    def test_later_query_sees_later_appends(self):
+        store = fill(TraceStore(), DEFAULT_ROWS)
+        assert store.count(category="pim") == 2
+        store.append(ev(6.0, "pim", "C"))
+        assert store.count(category="pim") == 3
+        assert store.nodes() == ["A", "B", "C"]
+
+    def test_ring_keys_are_live_only(self):
+        store = TraceStore(capacity=2)
+        fill(store, [(1.0, "old", "X"), (2.0, "new", "Y"), (3.0, "new", "Y")])
+        assert store.categories() == ["new"]
+        assert store.nodes() == ["Y"]
+
+
+# ----------------------------------------------------------------------
+# appends interleaved with every kind of query, against a flat list
+# ----------------------------------------------------------------------
+CATS = ("mld", "pim", "link")
+NODES = ("A", "B", "C")
+maybe_time = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.5, 9.0]))
+appends = st.tuples(
+    st.just("append"),
+    st.sampled_from([0.0, 0.0, 0.5, 1.0]),  # time step: equal times too
+    st.sampled_from(CATS),
+    st.sampled_from(NODES),
+)
+queries = st.tuples(
+    st.sampled_from(["select", "reverse", "count", "categories", "nodes", "len"]),
+    st.one_of(st.none(), st.sampled_from(CATS + ("absent",))),
+    st.one_of(st.none(), st.sampled_from(NODES)),
+    maybe_time,
+    maybe_time,
+)
+
+
+def linear(live, category, node, since, until):
+    return [
+        e
+        for e in live
+        if (category is None or e.category == category)
+        and (node is None or e.node == node)
+        and (since is None or e.time >= since)
+        and (until is None or e.time <= until)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.none(), st.integers(1, 10)),
+    st.lists(st.one_of(appends, queries), max_size=80),
+)
+def test_interleaved_queries_equal_linear_scan(capacity, ops):
+    store, flat, time = TraceStore(capacity=capacity), [], 0.0
+    for op in ops:
+        if op[0] == "append":
+            _, step, category, node = op
+            time += step
+            flat.append(ev(time, category, node))
+            store.append(flat[-1])
+            continue
+        kind, category, node, since, until = op
+        live = flat if capacity is None else flat[-capacity:]
+        want = linear(live, category, node, since, until)
+        if kind == "select":
+            assert list(store.select(category, node, since, until)) == want
+        elif kind == "reverse":
+            got = list(store.select(category, node, since, until, reverse=True))
+            assert got == want[::-1]
+        elif kind == "count":
+            assert store.count(category, node, since, until) == len(want)
+        elif kind == "categories":
+            assert store.categories() == sorted({e.category for e in live})
+        elif kind == "nodes":
+            assert store.nodes() == sorted({e.node for e in live})
+        else:
+            assert len(store) == len(live) and store.events == live

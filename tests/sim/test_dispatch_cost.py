@@ -12,9 +12,11 @@ Before that path was thinned (positional ``Simulator._push`` from
 ``Link`` and ``Timer``, ``Link`` delivering to ``Node.receive`` itself,
 the slot-copying hop-limit clone, the PIM-DM data path reading address
 ints and oif masks off their slots) the small cell made 46.4 calls per
-event and the larger one 49.1.  Each bound below is the value this code
-measured plus 10%; the larger cell must also stay within 1.1x of the
-smaller one, so the cost per event stays flat as the topology grows.
+event and the larger one 49.1; before the producers read
+``Tracer.wanted`` instead of calling ``Tracer.wants``, 31.30 and 32.19.
+Each bound below is the value this code measured plus 10%; the larger
+cell must also stay within 1.1x of the smaller one, so the cost per
+event stays flat as the topology grows.
 """
 
 import cProfile
@@ -36,14 +38,14 @@ CELL = dict(
 )
 
 #: calls per event measured on this code: 30 routers, 30 receivers
-SMALL = 31.30
+SMALL = 28.52
 #: calls per event measured on this code: 155 routers, 100 receivers
-LARGE = 32.19
+LARGE = 29.51
 MARGIN = 1.1
 
 
-def calls_per_event(**params) -> float:
-    """cProfile calls inside ``Network.run`` per event it dispatched."""
+def profile_cell(**params):
+    """cProfile stats inside ``Network.run``, and the events it dispatched."""
     profile = cProfile.Profile()
     events = 0
     run = Network.run
@@ -62,14 +64,19 @@ def calls_per_event(**params) -> float:
         patch.setattr(Network, "run", profiled_run)
         fluid_cell(**{**CELL, **params})
     assert events > 0
-    return pstats.Stats(profile).total_calls / events
+    return pstats.Stats(profile), events
 
 
 @pytest.fixture(scope="module")
-def costs():
-    small = calls_per_event(model_params={"depth": 2, "fanout": 5})
-    large = calls_per_event(model_params={"depth": 3, "fanout": 5}, receivers=100)
+def profiles():
+    small = profile_cell(model_params={"depth": 2, "fanout": 5})
+    large = profile_cell(model_params={"depth": 3, "fanout": 5}, receivers=100)
     return small, large
+
+
+@pytest.fixture(scope="module")
+def costs(profiles):
+    return tuple(stats.total_calls / events for stats, events in profiles)
 
 
 def test_small_cell_calls_per_event(costs):
@@ -85,3 +92,11 @@ def test_large_cell_calls_per_event(costs):
 def test_calls_per_event_flat_across_sizes(costs):
     small, large = costs
     assert large <= small * MARGIN, f"{large:.2f} vs {small:.2f} calls per event"
+
+
+def test_frame_path_reads_the_tracer_answer_without_a_call(profiles):
+    """``Link.transmit``, the PIM-DM data path and host delivery read
+    ``Tracer.wanted``; none of them calls ``Tracer.wants``."""
+    for stats, _ in profiles:
+        called = [func for (_, _, func) in stats.stats if func == "wants"]
+        assert called == []

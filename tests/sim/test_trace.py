@@ -134,6 +134,39 @@ class TestRetention:
         assert len(heard) == 1 and tr.events == []
 
 
+class TestWantedOnLiveNetwork:
+    """The per-frame producers read ``Tracer.wanted``; every input to
+    it, changed mid-run, must change what they record from then on."""
+
+    @pytest.mark.parametrize("category", ["link", "mcast.forward", "mcast.deliver"])
+    def test_toggling_each_input_flips_what_is_recorded(self, category):
+        from repro.core import PaperScenario, ScenarioConfig
+
+        sc = PaperScenario(ScenarioConfig(seed=0))
+        sc.converge()
+        tracer = sc.net.tracer
+        heard = []
+
+        def window():
+            """(stored any, heard any) over the next 2 simulated s."""
+            stored, n_heard = tracer.count(category), len(heard)
+            sc.run_until(sc.now + 2.0)
+            return tracer.count(category) > stored, len(heard) > n_heard
+
+        tracer.enable(category)
+        assert window() == (True, False)
+        tracer.disable(category)
+        assert window() == (False, False)
+        tracer.enable(category)
+        assert window() == (True, False)
+        tracer.retain = False
+        assert window() == (False, False)
+        tracer.add_listener(heard.append, categories=[category])
+        assert window() == (False, True)
+        tracer.retain = True
+        assert window() == (True, True)
+
+
 class TestQueries:
     def _populate(self):
         sim, tr = make()

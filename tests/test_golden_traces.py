@@ -27,7 +27,7 @@ import pytest
 
 from repro.core import PaperScenario, ScenarioConfig
 from repro.core.goldens import CANNED_RUNS, run_canned
-from repro.obs import FORMAT_VERSION, digest_events
+from repro.obs import FORMAT_VERSION, EventDigest, digest_events
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -56,8 +56,14 @@ def canned_scenario(name: str, seed: int, traffic_model: str) -> PaperScenario:
 
 
 def golden_record(name: str, seed: int, traffic_model: str = "packet") -> dict:
-    sc = CANNED_RUNS[name].play(canned_scenario(name, seed, traffic_model))
+    sc = canned_scenario(name, seed, traffic_model)
+    live = EventDigest()
+    sc.net.tracer.add_listener(live)
+    CANNED_RUNS[name].play(sc)
     events = sc.net.tracer.events
+    # the digest taken as events were recorded equals the stored
+    # trace's: no event's detail changed after it was recorded
+    assert live.hexdigest() == digest_events(events)
     record = {
         "scenario": name,
         "seed": seed,
@@ -89,6 +95,34 @@ def test_golden_trace(
         "in behaviour is intentional, regenerate with: PYTHONPATH=src "
         "python -m pytest tests/test_golden_traces.py --update-goldens"
     )
+
+
+@pytest.mark.parametrize("name,seed,traffic_model", CASES)
+def test_live_digest_needs_no_stored_trace(
+    name: str, seed: int, traffic_model: str
+) -> None:
+    """The listener's digest is the golden with ``retain = False``."""
+    sc = canned_scenario(name, seed, traffic_model)
+    live = EventDigest()
+    sc.net.tracer.add_listener(live)
+    sc.net.tracer.retain = False
+    CANNED_RUNS[name].play(sc)
+
+    golden = json.loads(golden_path(name, seed, traffic_model).read_text())
+    assert sc.net.tracer.events == []
+    assert live.hexdigest() == golden["digest"]
+
+
+def test_detail_changed_after_recording_splits_the_digests() -> None:
+    sc = canned_scenario("fig3", 0, "packet")
+    live = EventDigest()
+    sc.net.tracer.add_listener(live)
+    CANNED_RUNS["fig3"].play(sc)
+    events = sc.net.tracer.events
+    assert live.hexdigest() == digest_events(events)
+
+    events[len(events) // 2].detail["changed"] = True
+    assert live.hexdigest() != digest_events(events)
 
 
 def test_digest_catches_single_event_perturbation() -> None:
