@@ -32,7 +32,6 @@ SEEDS = (0, 1)
 GRID = CampaignGrid(
     "timers.point",
     axes={"query_interval": list(INTERVALS), "seed": list(SEEDS)},
-    name="timers-8cell",
 )
 
 

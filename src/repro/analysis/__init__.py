@@ -16,7 +16,6 @@ from .figures import render_figure, render_tree, tree_edges
 from .phases import (
     render_phase_table,
     run_span_breakdown,
-    span_breakdown_cells,
     span_receiver_run,
 )
 from .tables import Column, fmt_bytes, fmt_float, fmt_seconds, render_table
@@ -46,7 +45,6 @@ __all__ = [
     "render_timeline",
     "render_tree",
     "run_span_breakdown",
-    "span_breakdown_cells",
     "span_receiver_run",
     "sparkline",
     "tree_edges",

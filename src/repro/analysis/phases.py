@@ -13,10 +13,10 @@ stay put — phase attribution shows *where* loss hurts.
 Rows shard through :mod:`repro.campaign` (task ``spans.receiver``), so
 ``repro spans`` gets caching and parallel execution for free.
 
-``repro.core`` / ``repro.campaign`` / ``repro.faults`` are imported
-lazily inside the run functions: ``repro.core`` imports this package's
-siblings at module level, and a module-level back-import would be
-circular (the :mod:`repro.campaign.tasks` convention).
+``repro.core`` and ``repro.faults`` are imported lazily inside the
+run functions: ``repro.core`` imports this package's siblings at
+module level, and a module-level back-import would be circular (the
+:mod:`repro.campaign.tasks` convention).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .tables import fmt_float, fmt_seconds, render_table
 __all__ = [
     "render_phase_table",
     "run_span_breakdown",
-    "span_breakdown_cells",
     "span_receiver_run",
 ]
 
@@ -132,56 +131,21 @@ def span_receiver_run(
     return row
 
 
-def span_breakdown_cells(
-    approaches: Optional[Sequence[Any]] = None,
-    loss_rates: Sequence[float] = (0.0,),
-    seed: int = 0,
-    model: str = "gilbert",
-    run_until: float = 90.0,
-    packet_interval: float = 0.05,
-) -> List[Any]:
-    """Loss-rate × approach grid of ``spans.receiver`` cells."""
-    from ..campaign import CampaignCell
-    from ..core.strategies import ALL_APPROACHES
-
-    if approaches is None:
-        approaches = tuple(ALL_APPROACHES)
-    return [
-        CampaignCell(
-            "spans.receiver",
-            {
-                "approach": approach.key,
-                "seed": seed,
-                "loss_rate": rate,
-                "model": model,
-                "run_until": run_until,
-                "packet_interval": packet_interval,
-            },
-        )
-        for rate in loss_rates
-        for approach in approaches
-    ]
-
-
 def run_span_breakdown(
     approaches: Optional[Sequence[Any]] = None,
     loss_rates: Sequence[float] = (0.0,),
     seed: int = 0,
-    model: str = "gilbert",
-    run_until: float = 90.0,
-    packet_interval: float = 0.05,
     runner: Optional[Any] = None,
+    **cell: Any,
 ) -> List[Dict[str, Any]]:
-    """Run the breakdown grid through the campaign engine; rows in
-    grid order."""
-    from ..campaign import CampaignRunner
+    """Run the loss-rate × approach grid of ``spans.receiver`` cells
+    through the campaign engine; ``cell`` is any other
+    :func:`span_receiver_run` parameter.  Rows in grid order."""
+    from ..faults.experiments import run_loss_grid
 
-    if runner is None:
-        runner = CampaignRunner(master_seed=seed)
-    cells = span_breakdown_cells(
-        approaches, loss_rates, seed, model, run_until, packet_interval
+    return run_loss_grid(
+        "spans.receiver", loss_rates, approaches, runner, seed=seed, **cell
     )
-    return runner.run(cells).require_success().results()
 
 
 def render_phase_table(rows: List[Dict[str, Any]]) -> str:

@@ -15,10 +15,12 @@ only execute what changed::
     campaign = runner.run(grid.cells())
     rows = campaign.results()          # in grid order, JSON-able
 
-``repro.core``'s sweeps (:func:`repro.core.run_full_comparison`,
-``run_ha_load_vs_*``, :func:`repro.core.run_timer_sweep`) execute
-through this engine, and ``python -m repro sweep`` exposes it on the
-command line.  See ``docs/CAMPAIGNS.md``.
+Every study runner (:func:`repro.core.run_full_comparison`,
+``run_ha_load_vs_*``, :func:`repro.core.run_timer_sweep`, the EXP-S1,
+EXP-S2, fault, span and chaos sweeps) builds its cells and hands them
+to :func:`run_cells` with the ``runner`` it was given, and
+``python -m repro sweep`` exposes them on the command line.  See
+``docs/CAMPAIGNS.md``.
 """
 
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, cache_key, code_version
@@ -30,6 +32,7 @@ from .runner import (
     CellOutcome,
     CheckpointJournal,
     resolve_cell,
+    run_cells,
 )
 from .tasks import get_task, task_names
 
@@ -48,5 +51,6 @@ __all__ = [
     "code_version",
     "get_task",
     "resolve_cell",
+    "run_cells",
     "task_names",
 ]

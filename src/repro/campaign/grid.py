@@ -64,22 +64,14 @@ class CampaignCell:
 
     task: str
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: Optional display label; defaults to ``task`` + canonical params.
-    label: str = ""
 
     def __post_init__(self) -> None:
         _check_jsonable(dict(self.params), self.task)
         # Freeze the mapping so cells are safe to share and hash.
         object.__setattr__(self, "params", dict(self.params))
-        if not self.label:
-            object.__setattr__(self, "label", self.describe())
-
-    def describe(self) -> str:
-        return f"{self.task}{canonical_params(self.params)}"
 
     def with_params(self, **overrides: Any) -> "CampaignCell":
-        merged = {**self.params, **overrides}
-        return CampaignCell(task=self.task, params=merged, label=self.label)
+        return CampaignCell(task=self.task, params={**self.params, **overrides})
 
     def __hash__(self) -> int:
         return hash((self.task, canonical_params(self.params)))
@@ -100,7 +92,6 @@ class CampaignGrid:
         task: str,
         axes: Optional[Mapping[str, Sequence[Any]]] = None,
         base: Optional[Mapping[str, Any]] = None,
-        name: str = "",
     ) -> None:
         self.task = task
         self.axes: Dict[str, List[Any]] = {
@@ -113,7 +104,6 @@ class CampaignGrid:
         overlap = set(self.axes) & set(self.base)
         if overlap:
             raise ValueError(f"axes shadow base parameters: {sorted(overlap)}")
-        self.name = name or task
 
     def __len__(self) -> int:
         size = 1
@@ -136,4 +126,4 @@ class CampaignGrid:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dims = "×".join(str(len(v)) for v in self.axes.values()) or "1"
-        return f"<CampaignGrid {self.name} task={self.task} cells={dims}>"
+        return f"<CampaignGrid task={self.task} cells={dims}>"

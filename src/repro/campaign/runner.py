@@ -69,6 +69,7 @@ __all__ = [
     "CellOutcome",
     "CheckpointJournal",
     "resolve_cell",
+    "run_cells",
 ]
 
 
@@ -697,3 +698,17 @@ class CampaignRunner:
             "jobs": self.jobs,
             "wall_clock": sum(r.wall_clock for r in self.history),
         }
+
+
+def run_cells(
+    cells: Iterable[CampaignCell], runner: Optional[CampaignRunner] = None
+) -> List[Any]:
+    """A study's cell results, in cell order.
+
+    ``runner`` defaults to a plain in-process :class:`CampaignRunner`;
+    pass ``CampaignRunner(jobs=…, cache_dir=…)`` to shard and cache.
+    Raises :class:`CampaignError` if any cell failed for good.
+    """
+    if runner is None:
+        runner = CampaignRunner()
+    return runner.run(cells).require_success().results()

@@ -21,7 +21,6 @@ from .study import (
     DEFAULT_INTENSITIES,
     DEFAULT_TOPOS,
     chaos_cell,
-    chaos_grid,
     chaos_mipv6_config,
     chaos_mld_config,
     chaos_pim_config,
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_TOPOS",
     "STATE_MUTATION_EVENTS",
     "chaos_cell",
-    "chaos_grid",
     "chaos_mipv6_config",
     "chaos_mld_config",
     "chaos_pim_config",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_float, render_table
-from ..campaign import CampaignGrid, CampaignRunner
+from ..campaign import CampaignGrid, CampaignRunner, run_cells
 from ..mipv6 import MobileIpv6Config
 from ..mld import MldConfig
 from ..net.packet import IPV6_HEADER_BYTES
@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_INTENSITIES",
     "DEFAULT_TOPOS",
     "chaos_cell",
-    "chaos_grid",
     "chaos_mipv6_config",
     "chaos_mld_config",
     "chaos_pim_config",
@@ -218,35 +217,23 @@ def chaos_cell(
     return result
 
 
-def chaos_grid(
+def run_chaos_sweep(
     topos: Optional[Sequence[Dict[str, Any]]] = None,
     archetypes: Sequence[str] = ARCHETYPES,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     traffic_models: Sequence[str] = ("packet",),
-    receivers: int = 12,
     seed: int = 0,
-    warmup: float = 10.0,
-    chaos_duration: float = 10.0,
-    settle: float = 20.0,
-    packet_interval: float = 0.2,
-    probe_interval: Optional[float] = None,
-    check_invariants: Optional[bool] = None,
-) -> CampaignGrid:
-    """The EXP-R3 grid: topologies × archetypes × intensities ×
-    traffic models."""
-    base: Dict[str, Any] = {
-        "receivers": receivers,
-        "seed": seed,
-        "warmup": warmup,
-        "chaos_duration": chaos_duration,
-        "settle": settle,
-        "packet_interval": packet_interval,
-    }
-    if probe_interval is not None:
-        base["probe_interval"] = probe_interval
-    if check_invariants is not None:
-        base["check_invariants"] = check_invariants
-    return CampaignGrid(
+    runner: Optional[CampaignRunner] = None,
+    **cell: Any,
+) -> Dict[str, Any]:
+    """Run EXP-R3 and assemble convergence-time distributions plus
+    delivery-survival curves.
+
+    The grid is topologies × archetypes × intensities × traffic models
+    of ``chaos.cell`` tasks; ``cell`` (any other :func:`chaos_cell`
+    parameter) goes into every cell.
+    """
+    grid = CampaignGrid(
         "chaos.cell",
         axes={
             "topo": [dict(t) for t in (topos or DEFAULT_TOPOS)],
@@ -254,49 +241,10 @@ def chaos_grid(
             "intensity": list(intensities),
             "traffic_model": list(traffic_models),
         },
-        base=base,
-        name="chaos-sweep",
+        base={"seed": seed, **cell},
     )
-
-
-def run_chaos_sweep(
-    topos: Optional[Sequence[Dict[str, Any]]] = None,
-    archetypes: Sequence[str] = ARCHETYPES,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    traffic_models: Sequence[str] = ("packet",),
-    receivers: int = 12,
-    seed: int = 0,
-    warmup: float = 10.0,
-    chaos_duration: float = 10.0,
-    settle: float = 20.0,
-    packet_interval: float = 0.2,
-    probe_interval: Optional[float] = None,
-    check_invariants: Optional[bool] = None,
-    runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
-) -> Dict[str, Any]:
-    """Run EXP-R3 and assemble convergence-time distributions plus
-    delivery-survival curves."""
-    grid = chaos_grid(
-        topos=topos,
-        archetypes=archetypes,
-        intensities=intensities,
-        traffic_models=traffic_models,
-        receivers=receivers,
-        seed=seed,
-        warmup=warmup,
-        chaos_duration=chaos_duration,
-        settle=settle,
-        packet_interval=packet_interval,
-        probe_interval=probe_interval,
-        check_invariants=check_invariants,
-    )
-    if runner is None:
-        runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, master_seed=seed)
-    rows = runner.run(grid.cells()).require_success().results()
     rows = sorted(
-        rows,
+        run_cells(grid.cells(), runner),
         key=lambda r: (
             r["topo"]["model"], r["archetype"], r["intensity"],
             r["traffic_model"],

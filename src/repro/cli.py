@@ -400,9 +400,9 @@ def _timers_grid(args: argparse.Namespace, runner):
 
 def _scaling_grid(args: argparse.Namespace, runner):
     common = dict(seed=args.seed, runner=runner, **_traffic(args))
-    mobiles = run_ha_load_vs_mobiles(counts=(1, 2, 4, 8), **common)
-    groups = run_ha_load_vs_groups(counts=(1, 2, 4), **common)
-    rate = run_ha_load_vs_rate(packet_intervals=(0.2, 0.1, 0.05), **common)
+    mobiles = run_ha_load_vs_mobiles(**common)
+    groups = run_ha_load_vs_groups(**common)
+    rate = run_ha_load_vs_rate(**common)
     return {"mobiles": mobiles, "groups": groups, "rate": rate}, [
         render_scaling(mobiles, "mobiles"),
         render_scaling(groups, "groups"),

@@ -3,7 +3,6 @@
 from .adaptive import AdaptiveStrategyController
 from .comparison import (
     ComparisonReport,
-    comparison_cells,
     receiver_mobility_run,
     run_full_comparison,
     sender_mobility_run,
@@ -21,7 +20,6 @@ from .scalestudy import (
     render_scale_report,
     run_scale_sweep,
     scale_cell,
-    scale_grid,
 )
 from .scaling import (
     ha_load_groups_cell,
@@ -48,7 +46,6 @@ from .timer_optimization import (
     render_sweep,
     run_timer_sweep,
     timer_point_run,
-    timer_sweep_cells,
 )
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
     "TimerSweepPoint",
     "approach_for",
     "build_paper_network",
-    "comparison_cells",
     "fluid_cell",
     "generate_report",
     "ha_load_groups_cell",
@@ -90,8 +86,6 @@ __all__ = [
     "run_scale_sweep",
     "run_timer_sweep",
     "scale_cell",
-    "scale_grid",
     "sender_mobility_run",
     "timer_point_run",
-    "timer_sweep_cells",
 ]

@@ -25,10 +25,10 @@ network and checks the paper's qualitative ordering:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.tables import fmt_bytes, fmt_float, fmt_seconds, render_table
-from ..campaign import CampaignCell, CampaignRunner
+from ..campaign import CampaignCell, CampaignRunner, run_cells
 from ..mipv6 import MobileIpv6Config
 from ..mld import MldConfig
 from ..pimdm import PimDmConfig
@@ -45,7 +45,6 @@ from .strategies import (
 __all__ = [
     "receiver_mobility_run",
     "sender_mobility_run",
-    "comparison_cells",
     "run_full_comparison",
     "ComparisonReport",
 ]
@@ -316,104 +315,41 @@ _JOIN_STUDY = (
 )
 
 
-def comparison_cells(
+def run_full_comparison(
     seed: int = 0,
-    approaches: Sequence[Approach] = tuple(ALL_APPROACHES),
-    measure_leave: bool = True,
     mld: Optional[MldConfig] = None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
-) -> List[CampaignCell]:
-    """The §4.3 comparison matrix as a campaign grid.
+    runner: Optional[CampaignRunner] = None,
+    **cell: Any,
+) -> ComparisonReport:
+    """Run the complete §4.3 comparison and evaluate the paper's claims.
 
-    One ``comparison.receiver`` and one ``comparison.sender`` cell per
-    approach, plus the three join-delay study cells — 11 cells with
-    the default four approaches.  Traffic-engine params are added to
-    the cells only when non-default, so packet-mode cache keys stay
-    byte-identical to pre-fluid releases.
+    The matrix is one ``comparison.receiver`` and one
+    ``comparison.sender`` cell per approach plus the three join-study
+    cells: 11 cells, each carrying ``seed``, ``mld`` and ``cell`` (any
+    other parameter both tasks take, such as ``traffic_model``).  They
+    run through :func:`repro.campaign.run_cells`, so a ``runner`` built
+    as ``CampaignRunner(jobs=…, cache_dir=…)`` shards and caches them.
     """
-    mld_params = asdict(mld) if mld is not None else None
-    traffic_params: Dict[str, Any] = {}
-    if traffic_model != "packet":
-        traffic_params["traffic_model"] = traffic_model
-        if probe_interval is not None:
-            traffic_params["probe_interval"] = probe_interval
+    base = {"seed": seed, "mld": asdict(mld) if mld is not None else None, **cell}
     cells = [
-        CampaignCell(
-            "comparison.receiver",
-            {
-                "approach": approach.key,
-                "seed": seed,
-                "measure_leave": measure_leave,
-                "mld": mld_params,
-                **traffic_params,
-            },
-        )
-        for approach in approaches
-    ]
-    cells += [
-        CampaignCell(
-            "comparison.sender",
-            {
-                "approach": approach.key,
-                "seed": seed,
-                "mld": mld_params,
-                **traffic_params,
-            },
-        )
-        for approach in approaches
+        CampaignCell(task, {**base, "approach": approach.key})
+        for task in ("comparison.receiver", "comparison.sender")
+        for approach in ALL_APPROACHES
     ]
     cells += [
         CampaignCell(
             "comparison.receiver",
             {
+                **base,
                 "approach": approach.key,
-                "seed": seed,
                 "unsolicited": unsol,
                 "measure_leave": False,
-                "mld": mld_params,
-                **traffic_params,
             },
         )
         for approach, unsol in _JOIN_STUDY
     ]
-    return cells
-
-
-def run_full_comparison(
-    seed: int = 0,
-    approaches: Sequence[Approach] = tuple(ALL_APPROACHES),
-    measure_leave: bool = True,
-    mld: Optional[MldConfig] = None,
-    runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
-) -> ComparisonReport:
-    """Run the complete §4.3 comparison and evaluate the paper's claims.
-
-    The matrix executes through the campaign engine
-    (:mod:`repro.campaign`): every receiver/sender/join-study cell is
-    an independent shard, so ``jobs`` parallelizes the comparison and
-    ``cache_dir`` makes re-runs incremental.  With the defaults
-    (``jobs=1``, no cache) the rows are computed exactly as the
-    original serial loops did.
-    """
-    if runner is None:
-        runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, master_seed=seed)
-    rows = runner.run(
-        comparison_cells(
-            seed,
-            approaches,
-            measure_leave,
-            mld,
-            traffic_model=traffic_model,
-            probe_interval=probe_interval,
-        )
-    ).require_success().results()
-
-    n = len(list(approaches))
+    rows = run_cells(cells, runner)
+    n = len(ALL_APPROACHES)
     report = ComparisonReport(
         receiver_rows=rows[:n],
         sender_rows=rows[n : 2 * n],

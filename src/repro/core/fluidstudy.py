@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, fmt_float, render_table
-from ..campaign import CampaignCell, CampaignRunner
+from ..campaign import CampaignCell, CampaignRunner, run_cells
 
 __all__ = [
     "fluid_cell",
@@ -43,6 +43,12 @@ __all__ = [
 #: reduction at the paper's 20 pkt/s rate, well under the 210 s PIM-DM
 #: (S,G) data timeout.
 DEFAULT_PROBE_INTERVAL = 30.0
+
+#: Receiver counts above this run on the fluid engine only.
+PACKET_CAP = 10000
+
+#: Co-located receivers per host in the million-receiver cell.
+MILLION_WEIGHT = 100
 
 
 def fluid_cell(
@@ -161,35 +167,23 @@ def fluid_cell(
 def run_fluid_study(
     sizes: Optional[Sequence[Dict[str, Any]]] = None,
     receivers: Sequence[int] = (1000, 10000),
-    packet_cap: int = 10000,
-    million_cell: bool = True,
-    million_weight: int = 100,
     seed: int = 0,
-    duration: float = 30.0,
-    warmup: float = 10.0,
-    packet_interval: float = 0.05,
-    probe_interval: float = DEFAULT_PROBE_INTERVAL,
-    mobility: float = 0.0,
     runner: Optional[CampaignRunner] = None,
+    **cell: Any,
 ) -> Dict[str, Any]:
     """EXP-S2: packet/fluid cell pairs plus the weighted million cell.
 
-    For every receiver count up to ``packet_cap`` both engines run and
-    the pair reports the data-plane event reduction and byte agreement;
-    beyond the cap only fluid runs (that asymmetry is the point).
-    Every cell is a ``fluid.cell`` task with an explicit seed, run by
-    ``runner`` (sharded and cached when it is configured so; a plain
-    in-process runner by default).
+    For every receiver count up to :data:`PACKET_CAP` both engines run
+    and the pair reports the data-plane event reduction and byte
+    agreement; beyond the cap only fluid runs (that asymmetry is the
+    point).  The million cell runs the largest count on the last size
+    with every host weighted :data:`MILLION_WEIGHT`.  Every cell is a
+    ``fluid.cell`` task with an explicit seed plus ``cell`` (any other
+    :func:`fluid_cell` parameter), run by ``runner`` (see
+    :func:`repro.campaign.run_cells`).
     """
     sizes = [dict(s) for s in (sizes or [{"depth": 3, "fanout": 10}])]
-    common = dict(
-        seed=seed,
-        warmup=warmup,
-        duration=duration,
-        packet_interval=packet_interval,
-        probe_interval=probe_interval,
-        mobility=mobility,
-    )
+    common = dict(seed=seed, **cell)
     cells = [
         CampaignCell(
             "fluid.cell",
@@ -197,25 +191,22 @@ def run_fluid_study(
         )
         for size in sizes
         for count in receivers
-        for engine in (("fluid", "packet") if count <= packet_cap else ("fluid",))
+        for engine in (("fluid", "packet") if count <= PACKET_CAP else ("fluid",))
     ]
-    if million_cell:
-        cells.append(
-            CampaignCell(
-                "fluid.cell",
-                dict(
-                    model_params=sizes[-1],
-                    receivers=max(receivers),
-                    receiver_weight=million_weight,
-                    traffic_model="fluid",
-                    **common,
-                ),
-            )
+    cells.append(
+        CampaignCell(
+            "fluid.cell",
+            dict(
+                model_params=sizes[-1],
+                receivers=max(receivers),
+                receiver_weight=MILLION_WEIGHT,
+                traffic_model="fluid",
+                **common,
+            ),
         )
-    if runner is None:
-        runner = CampaignRunner(master_seed=seed)
+    )
     # results come back in cell order: the loops below mirror the cells
-    results = iter(runner.run(cells).require_success().results())
+    results = iter(run_cells(cells, runner))
     pairs: List[Dict[str, Any]] = []
     for size in sizes:
         for count in receivers:
@@ -225,7 +216,7 @@ def run_fluid_study(
                 "receivers": count,
                 "fluid": fluid,
             }
-            if count <= packet_cap:
+            if count <= PACKET_CAP:
                 packet = next(results)
                 row["packet"] = packet
                 probe_tx = max(fluid["probe_transmissions"], 1)
@@ -240,16 +231,15 @@ def run_fluid_study(
                     abs(fluid["mcast_bytes"] - packet["mcast_bytes"]) / base, 6
                 )
             pairs.append(row)
-    study: Dict[str, Any] = {
+    first = pairs[0]["fluid"]
+    return {
         "exp": "EXP-S2",
         "seed": seed,
-        "packet_interval": packet_interval,
-        "probe_interval": probe_interval,
+        "packet_interval": first["packet_interval"],
+        "probe_interval": first["probe_interval"],
         "pairs": pairs,
+        "million_cell": next(results),
     }
-    if million_cell:
-        study["million_cell"] = next(results)
-    return study
 
 
 def render_fluid_report(study: Dict[str, Any]) -> str:

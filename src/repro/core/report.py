@@ -111,11 +111,7 @@ def generate_report(
     # -- scaling -----------------------------------------------------------
     if include_scaling:
         _section(out, "§4.3.2 home-agent load scaling")
-        _code(out, render_scaling(
-            run_ha_load_vs_mobiles(counts=(1, 2, 4, 8), seed=seed), "mobiles"
-        ))
-        _code(out, render_scaling(
-            run_ha_load_vs_groups(counts=(1, 2, 4), seed=seed), "groups"
-        ))
+        _code(out, render_scaling(run_ha_load_vs_mobiles(seed=seed), "mobiles"))
+        _code(out, render_scaling(run_ha_load_vs_groups(seed=seed), "groups"))
 
     return out.getvalue()

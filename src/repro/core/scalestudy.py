@@ -29,14 +29,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, fmt_float, render_table
-from ..campaign import CampaignGrid, CampaignRunner
+from ..campaign import CampaignGrid, CampaignRunner, run_cells
 
 __all__ = [
     "DEFAULT_SIZES",
     "render_scale_report",
     "run_scale_sweep",
     "scale_cell",
-    "scale_grid",
 ]
 
 #: Default topology-size axis: hierarchical trees from tens to >1000
@@ -157,37 +156,26 @@ def scale_cell(
     return result
 
 
-def scale_grid(
+def run_scale_sweep(
     sizes: Optional[Sequence[Dict[str, Any]]] = None,
     receivers: Sequence[int] = (100, 1000),
     groups: Sequence[int] = (1,),
     mobility: Sequence[float] = (0.0,),
-    model: str = "hier",
     seed: int = 0,
-    duration: float = 30.0,
-    warmup: float = 10.0,
-    packet_interval: float = 1.0,
-    check_invariants: Optional[bool] = None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
-) -> CampaignGrid:
-    """The EXP-S1 grid: topology sizes × receiver populations × group
-    counts × mobility rates."""
-    base: Dict[str, Any] = {
-        "model": model,
-        "seed": seed,
-        "duration": duration,
-        "warmup": warmup,
-        "packet_interval": packet_interval,
-    }
-    if check_invariants is not None:
-        base["check_invariants"] = check_invariants
-    # non-default only: packet-mode cache keys stay byte-identical
-    if traffic_model != "packet":
-        base["traffic_model"] = traffic_model
-        if probe_interval is not None:
-            base["probe_interval"] = probe_interval
-    return CampaignGrid(
+    runner: Optional[CampaignRunner] = None,
+    **cell: Any,
+) -> Dict[str, Any]:
+    """Run EXP-S1 and assemble the scaling curves.
+
+    The grid is topology sizes × receiver populations × group counts ×
+    mobility rates of ``scale.cell`` tasks; ``cell`` (any other
+    :func:`scale_cell` parameter) goes into every cell.  The report
+    carries the per-cell rows plus three machine-readable curves: state
+    entries and modelled bytes vs. router count, control-message load
+    vs. router count, and aggregation gain vs. receiver population /
+    group count (the Helmy-shaped trend).
+    """
+    grid = CampaignGrid(
         "scale.cell",
         axes={
             "model_params": [dict(s) for s in (sizes or DEFAULT_SIZES)],
@@ -195,54 +183,10 @@ def scale_grid(
             "groups": list(groups),
             "mobility": list(mobility),
         },
-        base=base,
-        name="scale-sweep",
+        base={"seed": seed, **cell},
     )
-
-
-def run_scale_sweep(
-    sizes: Optional[Sequence[Dict[str, Any]]] = None,
-    receivers: Sequence[int] = (100, 1000),
-    groups: Sequence[int] = (1,),
-    mobility: Sequence[float] = (0.0,),
-    model: str = "hier",
-    seed: int = 0,
-    duration: float = 30.0,
-    warmup: float = 10.0,
-    packet_interval: float = 1.0,
-    check_invariants: Optional[bool] = None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
-    runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
-) -> Dict[str, Any]:
-    """Run EXP-S1 and assemble the scaling curves.
-
-    The report carries the per-cell rows plus three machine-readable
-    curves: state entries and modelled bytes vs. router count,
-    control-message load vs. router count, and aggregation gain vs.
-    receiver population / group count (the Helmy-shaped trend).
-    """
-    grid = scale_grid(
-        sizes=sizes,
-        receivers=receivers,
-        groups=groups,
-        mobility=mobility,
-        model=model,
-        seed=seed,
-        duration=duration,
-        warmup=warmup,
-        packet_interval=packet_interval,
-        check_invariants=check_invariants,
-        traffic_model=traffic_model,
-        probe_interval=probe_interval,
-    )
-    if runner is None:
-        runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, master_seed=seed)
-    rows = runner.run(grid.cells()).require_success().results()
     rows = sorted(
-        rows,
+        run_cells(grid.cells(), runner),
         key=lambda r: (r["routers"], r["receivers"], r["groups"], r["mobility"]),
     )
 
@@ -282,7 +226,7 @@ def run_scale_sweep(
     ]
     report = {
         "experiment": "EXP-S1",
-        "model": model,
+        "model": rows[0]["model"],
         "seed": seed,
         "cells": len(rows),
         "total_receivers": sum(r["receivers"] for r in rows),

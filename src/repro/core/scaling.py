@@ -4,7 +4,7 @@
 mobile hosts it must support, the number of multicast groups its mobile
 hosts need to receive, and the amount of traffic in the groups."
 
-Two sweeps on the Figure 1 network quantify this for Router D (the home
+Three sweeps on the Figure 1 network quantify this for Router D (the home
 agent of Link 4):
 
 * :func:`run_ha_load_vs_mobiles` — N mobile receivers homed on Link 4,
@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, render_table
-from ..campaign import CampaignGrid, CampaignRunner
-from ..net import Address, make_multicast_group
+from ..campaign import CampaignGrid, CampaignRunner, run_cells
+from ..net import make_multicast_group
 from .scenario import PaperScenario, ScenarioConfig
 from .strategies import BIDIRECTIONAL_TUNNEL
 
@@ -36,18 +36,6 @@ __all__ = [
     "ha_load_rate_cell",
     "render_scaling",
 ]
-
-
-def _run_grid(
-    grid: CampaignGrid,
-    runner: Optional[CampaignRunner],
-    jobs: int,
-    cache_dir,
-    seed: int,
-) -> List[Dict[str, Any]]:
-    if runner is None:
-        runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, master_seed=seed)
-    return runner.run(grid.cells()).require_success().results()
 
 
 def ha_load_mobiles_cell(
@@ -93,41 +81,17 @@ def ha_load_mobiles_cell(
     }
 
 
-def _traffic_base(
-    traffic_model: str, probe_interval: Optional[float]
-) -> Dict[str, Any]:
-    """Traffic-engine cell params, empty in packet mode so packet-mode
-    cache keys stay byte-identical to pre-fluid releases."""
-    if traffic_model == "packet":
-        return {}
-    out: Dict[str, Any] = {"traffic_model": traffic_model}
-    if probe_interval is not None:
-        out["probe_interval"] = probe_interval
-    return out
-
-
 def run_ha_load_vs_mobiles(
     counts: Sequence[int] = (1, 2, 4, 8),
     seed: int = 0,
-    measure_window: float = 30.0,
     runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
+    **cell: Any,
 ) -> List[Dict[str, Any]]:
     """HA encapsulation load vs. number of mobile hosts it serves."""
     grid = CampaignGrid(
-        "scaling.mobiles",
-        axes={"mobiles": list(counts)},
-        base={
-            "seed": seed,
-            "measure_window": measure_window,
-            **_traffic_base(traffic_model, probe_interval),
-        },
-        name="ha-load-vs-mobiles",
+        "scaling.mobiles", axes={"mobiles": list(counts)}, base={"seed": seed, **cell}
     )
-    return _run_grid(grid, runner, jobs, cache_dir, seed)
+    return run_cells(grid.cells(), runner)
 
 
 def ha_load_groups_cell(
@@ -178,27 +142,14 @@ def ha_load_groups_cell(
 def run_ha_load_vs_groups(
     counts: Sequence[int] = (1, 2, 4),
     seed: int = 0,
-    measure_window: float = 30.0,
-    packet_interval: float = 0.1,
     runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
+    **cell: Any,
 ) -> List[Dict[str, Any]]:
     """HA encapsulation load vs. number of subscribed groups."""
     grid = CampaignGrid(
-        "scaling.groups",
-        axes={"groups": list(counts)},
-        base={
-            "seed": seed,
-            "measure_window": measure_window,
-            "packet_interval": packet_interval,
-            **_traffic_base(traffic_model, probe_interval),
-        },
-        name="ha-load-vs-groups",
+        "scaling.groups", axes={"groups": list(counts)}, base={"seed": seed, **cell}
     )
-    return _run_grid(grid, runner, jobs, cache_dir, seed)
+    return run_cells(grid.cells(), runner)
 
 
 def ha_load_rate_cell(
@@ -234,25 +185,16 @@ def ha_load_rate_cell(
 def run_ha_load_vs_rate(
     packet_intervals: Sequence[float] = (0.2, 0.1, 0.05),
     seed: int = 0,
-    measure_window: float = 30.0,
     runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
-    traffic_model: str = "packet",
-    probe_interval: Optional[float] = None,
+    **cell: Any,
 ) -> List[Dict[str, Any]]:
     """HA encapsulation load vs. source traffic rate."""
     grid = CampaignGrid(
         "scaling.rate",
         axes={"packet_interval": list(packet_intervals)},
-        base={
-            "seed": seed,
-            "measure_window": measure_window,
-            **_traffic_base(traffic_model, probe_interval),
-        },
-        name="ha-load-vs-rate",
+        base={"seed": seed, **cell},
     )
-    return _run_grid(grid, runner, jobs, cache_dir, seed)
+    return run_cells(grid.cells(), runner)
 
 
 def render_scaling(rows: List[Dict[str, Any]], key: str) -> str:

@@ -29,7 +29,7 @@ from ..analysis.delays import (
     expected_leave_delay,
 )
 from ..analysis.tables import fmt_bytes, fmt_float, fmt_seconds, render_table
-from ..campaign import CampaignCell, CampaignRunner
+from ..campaign import CampaignGrid, CampaignRunner, run_cells
 from ..mld import MldConfig
 from ..sim import RngRegistry
 from .scenario import PaperScenario, ScenarioConfig
@@ -40,7 +40,6 @@ __all__ = [
     "run_timer_sweep",
     "render_sweep",
     "timer_point_run",
-    "timer_sweep_cells",
 ]
 
 
@@ -91,40 +90,12 @@ def _mean(values: Sequence) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def timer_sweep_cells(
-    query_intervals: Sequence[float] = (10.0, 25.0, 60.0, 125.0),
-    seeds: Sequence[int] = (0, 1, 2),
-    move_link: str = "L6",
-    base_mld: Optional[MldConfig] = None,
-    packet_interval: float = 0.1,
-) -> List[CampaignCell]:
-    """The §4.4 campaign grid: one cell per (T_Query, seed)."""
-    base = asdict(base_mld) if base_mld is not None else None
-    return [
-        CampaignCell(
-            "timers.point",
-            {
-                "query_interval": qi,
-                "seed": seed,
-                "move_link": move_link,
-                "packet_interval": packet_interval,
-                "base_mld": base,
-            },
-        )
-        for qi in query_intervals
-        for seed in seeds
-    ]
-
-
 def run_timer_sweep(
     query_intervals: Sequence[float] = (10.0, 25.0, 60.0, 125.0),
     seeds: Sequence[int] = (0, 1, 2),
-    move_link: str = "L6",
     base_mld: Optional[MldConfig] = None,
-    packet_interval: float = 0.1,
     runner: Optional[CampaignRunner] = None,
-    jobs: int = 1,
-    cache_dir=None,
+    **cell: Any,
 ) -> List[TimerSweepPoint]:
     """Sweep T_Query and measure join/leave delay and bandwidth trade-off.
 
@@ -133,18 +104,21 @@ def run_timer_sweep(
     uniform within the cycle, matching the analytic model); unsolicited
     Reports are disabled to expose the wait-for-query path.
 
-    The (interval, seed) cells execute through the campaign engine:
-    pass ``jobs``/``cache_dir`` (or a preconfigured ``runner``) to
-    shard them across processes and reuse cached cells.
+    Each (interval, seed) pair is one ``timers.point`` cell carrying
+    ``base_mld`` and ``cell`` (any other :func:`timer_point_run`
+    parameter, such as ``move_link``); ``base_mld`` also feeds the
+    analytic columns.  The cells run through
+    :func:`repro.campaign.run_cells`, so a ``runner`` built as
+    ``CampaignRunner(jobs=…, cache_dir=…)`` shards and caches them.
     """
-    base = base_mld or MldConfig()
-    if runner is None:
-        runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir)
-    cells = timer_sweep_cells(
-        query_intervals, seeds, move_link, base_mld, packet_interval
+    grid = CampaignGrid(
+        "timers.point",
+        axes={"query_interval": list(query_intervals), "seed": list(seeds)},
+        base={"base_mld": asdict(base_mld) if base_mld is not None else None, **cell},
     )
-    rows = iter(runner.run(cells).require_success().results())
+    rows = iter(run_cells(grid.cells(), runner))
 
+    base = base_mld or MldConfig()
     points: List[TimerSweepPoint] = []
     for qi in query_intervals:
         mld = replace(
@@ -161,7 +135,7 @@ def run_timer_sweep(
             analytic_leave=expected_leave_delay(mld),
         )
         for _seed in seeds:
-            # cells() order is the same qi x seed nesting as this loop
+            # the grid's qi x seed nesting is the same as this loop's
             row = next(rows)
             point.join_delays.append(row["join_delay"])
             point.leave_delays.append(row["leave_delay"])

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.tables import fmt_bytes, fmt_float, fmt_seconds, render_table
-from ..campaign import CampaignCell, CampaignRunner
+from ..campaign import CampaignGrid, CampaignRunner, run_cells
 from ..core.scenario import PaperScenario, ScenarioConfig
 from ..core.strategies import ALL_APPROACHES, Approach
 from ..mipv6 import MobileIpv6Config
@@ -47,10 +47,9 @@ __all__ = [
     "loss_plan",
     "loss_receiver_run",
     "ha_crash_run",
-    "fault_sweep_cells",
-    "crash_cells",
-    "run_fault_sweep",
     "run_crash_study",
+    "run_fault_sweep",
+    "run_loss_grid",
     "render_fault_table",
     "render_crash_table",
 ]
@@ -238,90 +237,58 @@ def ha_crash_run(
 # campaign grids
 # ----------------------------------------------------------------------
 
-def fault_sweep_cells(
+def run_loss_grid(
+    task: str,
     loss_rates: Sequence[float],
-    approaches: Sequence[Approach] = tuple(ALL_APPROACHES),
-    seed: int = 0,
-    model: str = "gilbert",
-    run_until: float = 90.0,
-    packet_interval: float = 0.05,
-) -> List[CampaignCell]:
-    """Loss-rate × approach grid of ``faults.receiver`` cells."""
-    return [
-        CampaignCell(
-            "faults.receiver",
-            {
-                "approach": approach.key,
-                "seed": seed,
-                "loss_rate": rate,
-                "model": model,
-                "run_until": run_until,
-                "packet_interval": packet_interval,
-            },
-        )
-        for rate in loss_rates
-        for approach in approaches
-    ]
-
-
-def crash_cells(
-    approaches: Sequence[Approach] = tuple(ALL_APPROACHES),
-    seed: int = 0,
-    crash_at: float = 45.0,
-    crash_duration: float = 15.0,
-    run_until: float = 110.0,
-    packet_interval: float = 0.05,
-) -> List[CampaignCell]:
-    """One ``faults.ha_crash`` cell per approach."""
-    return [
-        CampaignCell(
-            "faults.ha_crash",
-            {
-                "approach": approach.key,
-                "seed": seed,
-                "crash_at": crash_at,
-                "crash_duration": crash_duration,
-                "run_until": run_until,
-                "packet_interval": packet_interval,
-            },
-        )
-        for approach in approaches
-    ]
+    approaches: Optional[Sequence[Approach]] = None,
+    runner: Optional[CampaignRunner] = None,
+    **cell: Any,
+) -> List[Dict[str, Any]]:
+    """Loss-rate × approach cells of ``task`` with ``cell`` in each; rows
+    in grid order.  The loss sweep (``faults.receiver``) and the span
+    breakdown (``spans.receiver``) both run this grid; ``approaches``
+    defaults to all four."""
+    if approaches is None:
+        approaches = ALL_APPROACHES
+    grid = CampaignGrid(
+        task,
+        axes={
+            "loss_rate": list(loss_rates),
+            "approach": [approach.key for approach in approaches],
+        },
+        base=cell,
+    )
+    return run_cells(grid.cells(), runner)
 
 
 def run_fault_sweep(
     loss_rates: Sequence[float],
     approaches: Sequence[Approach] = tuple(ALL_APPROACHES),
     seed: int = 0,
-    model: str = "gilbert",
-    run_until: float = 90.0,
-    packet_interval: float = 0.05,
     runner: Optional[CampaignRunner] = None,
+    **cell: Any,
 ) -> List[Dict[str, Any]]:
-    """Run the loss sweep through the campaign engine; rows in grid order."""
-    if runner is None:
-        runner = CampaignRunner(master_seed=seed)
-    cells = fault_sweep_cells(
-        loss_rates, approaches, seed, model, run_until, packet_interval
+    """Run the loss sweep through the campaign engine; ``cell`` is any
+    other :func:`loss_receiver_run` parameter."""
+    return run_loss_grid(
+        "faults.receiver", loss_rates, approaches, runner, seed=seed, **cell
     )
-    return runner.run(cells).require_success().results()
 
 
 def run_crash_study(
     approaches: Sequence[Approach] = tuple(ALL_APPROACHES),
     seed: int = 0,
-    crash_at: float = 45.0,
-    crash_duration: float = 15.0,
-    run_until: float = 110.0,
-    packet_interval: float = 0.05,
     runner: Optional[CampaignRunner] = None,
+    **cell: Any,
 ) -> List[Dict[str, Any]]:
-    if runner is None:
-        runner = CampaignRunner(master_seed=seed)
-    cells = crash_cells(
-        approaches, seed, crash_at, crash_duration, run_until, packet_interval
+    """One ``faults.ha_crash`` cell per approach; ``cell`` is any other
+    :func:`ha_crash_run` parameter."""
+    grid = CampaignGrid(
+        "faults.ha_crash",
+        axes={"approach": [approach.key for approach in approaches]},
+        base={"seed": seed, **cell},
     )
-    return runner.run(cells).require_success().results()
+    return run_cells(grid.cells(), runner)
 
 
 # ----------------------------------------------------------------------

@@ -117,21 +117,23 @@ class TraceStore:
                     self._compact()
 
     def _compact(self) -> None:
+        # Rebind to fresh slices rather than delete in place: a
+        # suspended select() keeps reading the lists it started with.
         drop = self._min_live - self._base
         if drop <= 0:
             return
-        del self._events[:drop]
-        del self._times[:drop]
+        self._events = self._events[drop:]
+        self._times = self._times[drop:]
         self._base = self._min_live
         self._indexed = max(self._indexed, self._base)
         for index in (self._by_category, self._by_node):
             for key in list(index):
                 seqs = index[key]
                 cut = bisect.bisect_left(seqs, self._base)
-                if cut:
-                    del seqs[:cut]
-                if not seqs:
+                if cut == len(seqs):
                     del index[key]
+                elif cut:
+                    index[key] = seqs[cut:]
 
     def _index(self) -> None:
         """Extend the indexes over the events appended since the last

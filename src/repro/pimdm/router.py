@@ -294,6 +294,8 @@ class PimDmEngine:
         entry.stop_all_timers()
         self.entries.pop(entry.key, None)
         self._join_override_events.pop(entry.key, None)
+        for iface in self.node.interfaces:
+            self._last_assert_sent.pop((entry.key, iface.uid), None)
         self.node.trace(
             "pim.state",
             event="entry-expired",

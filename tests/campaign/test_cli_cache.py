@@ -6,10 +6,16 @@ executes every cell; the warm run executes none, reads every cell from
 the cache, and prints the same payload.  Each run is a subprocess
 because ``--check-invariants`` arms the oracles through ``os.environ``
 for the rest of the calling process.
+
+Each row also pins the SHA-256 of its cold payload (without the
+``campaign`` stats and ``cache_dir``), so a refactor that moves any
+command's output fails here; a change that moves it on purpose
+re-pins the row.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -78,20 +84,32 @@ def check_chaos(payload):
     assert report["convergence_rate"] == 1.0, report
 
 
-#: command -> (argv, cells, extra check of the cold payload)
+#: command -> (argv, cells, SHA-256 of the cold payload, extra check of it)
 CASES = {
-    "sweep compare": (["sweep", "compare"], 11, None),
+    "sweep compare": (
+        ["sweep", "compare"],
+        11,
+        "f2558fbd00644687ade51f00f01e8ffbb463d10422d36e933fc0ffd87154395f",
+        None,
+    ),
     "sweep timers": (
         ["sweep", "timers", "--intervals", "10", "25", "--repeats", "2"],
         4,
+        "b92b09d927fe33f5f4bdef0d8b45de49920da3ae8e60114d2055a3aea2d16e66",
         None,
     ),
-    "sweep scaling": (["sweep", "scaling"], 10, None),
+    "sweep scaling": (
+        ["sweep", "scaling"],
+        10,
+        "cabec760875c881a05da66b1e21d6c8c1f250439aa804478132c923ae9c33a80",
+        None,
+    ),
     # small EXP-S1 grid with the invariant oracles armed
     "sweep scale": (
         ["sweep", "scale", "--sizes", "2x3", "2x5", "--receivers", "20",
          "--groups", "1", "2", "--duration", "10", "--check-invariants"],
         4,
+        "02f6dce5855f9f0e4c330bf5c3621271873c5e08c6730d395dd455370884d634",
         check_scale,
     ),
     # EXP-S2: one packet/fluid pair plus the weighted million cell
@@ -99,22 +117,37 @@ CASES = {
         ["sweep", "fluid", "--sizes", "2x5", "--receivers", "50",
          "--duration", "30"],
         3,
+        "a1c32130b24652aa1bf2de27bda08d3e42eae0f325508d30ef8a8eb1dec079fc",
         check_fluid,
     ),
     # EXP-R3: 5 archetypes x 2 topologies x 2 intensities, oracles armed
-    "sweep chaos": (["sweep", "chaos", "--check-invariants"], 20, check_chaos),
+    "sweep chaos": (
+        ["sweep", "chaos", "--check-invariants"],
+        20,
+        "b639a96b1bba4cc61117643ecdd971a38304c5f4c00e9233132476572e7615f9",
+        check_chaos,
+    ),
     "faults": (
         ["faults", "--scenario", "loss", "--loss", "0.0", "0.02",
          "--approaches", "local", "bidir"],
         4,
+        "24eacdf0d7033d36d4dde606b6aba158588b3b4ee0ffa7728263d3da463340d2",
         check_faults,
     ),
     "spans": (
         ["spans", "--approaches", "local", "bidir", "ut-mh-ha", "ut-ha-mh"],
         4,
+        "e6abd5fb8a0900eb0340f3018319c380edac4da8446ffabdf81b18301fd3f19f",
         check_spans,
     ),
 }
+
+
+def payload_digest(payload: dict) -> str:
+    """SHA-256 of a payload without its run-specific ``campaign`` and
+    ``cache_dir`` fields."""
+    rest = {k: v for k, v in payload.items() if k not in ("campaign", "cache_dir")}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()
 
 
 def run_cli(argv, cache_dir: Path, cwd: Path) -> dict:
@@ -141,7 +174,7 @@ def test_every_campaign_command_is_covered():
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_warm_run_replays_every_cell_from_cache(command, tmp_path):
-    argv, cells, check = CASES[command]
+    argv, cells, digest, check = CASES[command]
     cold = run_cli(argv, tmp_path / "cache", tmp_path)
     warm = run_cli(argv, tmp_path / "cache", tmp_path)
     assert cold["experiment"] == argv[0]
@@ -149,6 +182,8 @@ def test_warm_run_replays_every_cell_from_cache(command, tmp_path):
     assert cold["campaign"]["executed"] == cells, cold["campaign"]
     assert warm["campaign"]["executed"] == 0, warm["campaign"]
     assert warm["campaign"]["cached"] == cells, warm["campaign"]
+    # the output itself is pinned: a change that moves it re-pins here
+    assert payload_digest(cold) == digest
     cold.pop("campaign")
     warm.pop("campaign")
     assert cold == warm

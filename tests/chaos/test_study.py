@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign import CampaignRunner
 from repro.chaos import ARCHETYPES, chaos_cell, run_chaos_sweep
 
 SMALL_HIER = {"model": "hier", "depth": 2, "fanout": 3}
@@ -39,14 +40,14 @@ def test_cell_rejects_unknown_archetype():
         chaos_cell(topo=SMALL_HIER, archetype="locusts")
 
 
-def _sweep(**kw):
+def _sweep(**runner_kw):
     return run_chaos_sweep(
         topos=[SMALL_HIER],
         archetypes=("flaps", "ha-storm"),
         intensities=(0.5,),
         receivers=6,
         seed=7,
-        **kw,
+        runner=CampaignRunner(**runner_kw),
     )
 
 

@@ -20,7 +20,6 @@ from repro.core.scalestudy import (
     render_scale_report,
     run_scale_sweep,
     scale_cell,
-    scale_grid,
 )
 from repro.invariants.pimdm import PimDmOracle
 from repro.sim import Tracer
@@ -28,7 +27,7 @@ from repro.sim import Tracer
 TINY = [{"depth": 1, "fanout": 3}, {"depth": 2, "fanout": 3}]
 
 
-def tiny_sweep(runner=None, jobs=1):
+def tiny_sweep(runner=None):
     return run_scale_sweep(
         sizes=TINY,
         receivers=(12,),
@@ -38,7 +37,6 @@ def tiny_sweep(runner=None, jobs=1):
         warmup=6.0,
         duration=8.0,
         runner=runner,
-        jobs=jobs,
     )
 
 
@@ -154,10 +152,21 @@ class TestTraceRetention:
 
 class TestGridAndSweep:
     def test_grid_covers_the_axes(self):
-        grid = scale_grid(sizes=TINY, receivers=(5, 10), groups=(1,))
-        cells = list(grid.cells())
-        assert len(cells) == len(TINY) * 2
+        runner = CampaignRunner()
+        report = run_scale_sweep(
+            sizes=TINY, receivers=(5, 10), groups=(1,), warmup=4.0,
+            duration=6.0, runner=runner,
+        )
+        assert report["cells"] == len(TINY) * 2
+        assert {(r["routers"], r["receivers"]) for r in report["rows"]} == {
+            (3, 5), (3, 10), (12, 5), (12, 10)
+        }
+        cells = [o.cell for o in runner.last_result.outcomes]
         assert all(c.task == "scale.cell" for c in cells)
+        # forwarded cell parameters reach every cell; the report echoes
+        # the model the cells ran
+        assert all(c.params["duration"] == 6.0 for c in cells)
+        assert report["model"] == "hier"
 
     def test_default_sizes_reach_a_thousand_routers(self):
         top = DEFAULT_SIZES[-1]
@@ -176,8 +185,8 @@ class TestGridAndSweep:
         assert report["gain_trend_increasing"] is True
 
     def test_jobs_1_and_jobs_n_reports_identical(self):
-        serial = tiny_sweep(jobs=1)
-        parallel = tiny_sweep(jobs=2)
+        serial = tiny_sweep(CampaignRunner(jobs=1))
+        parallel = tiny_sweep(CampaignRunner(jobs=2))
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             parallel, sort_keys=True
         )

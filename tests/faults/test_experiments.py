@@ -11,18 +11,18 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignRunner
+from repro.analysis.phases import run_span_breakdown
+from repro.campaign import CampaignResult, CampaignRunner, CellOutcome
 from repro.core.strategies import (
     BIDIRECTIONAL_TUNNEL,
     LOCAL_MEMBERSHIP,
 )
 from repro.faults.experiments import (
-    crash_cells,
-    fault_sweep_cells,
     ha_crash_run,
     loss_receiver_run,
     render_crash_table,
     render_fault_table,
+    run_crash_study,
     run_fault_sweep,
 )
 
@@ -101,13 +101,39 @@ class TestHaCrashRun:
         json.dumps(rows["bidir"])
 
 
+class RecordingRunner:
+    """Keeps the cells a study submits and answers each with ``{}``."""
+
+    def run(self, cells):
+        self.cells = list(cells)
+        return CampaignResult(
+            outcomes=[
+                CellOutcome(cell=c, key="", result={}, cached=False, elapsed=0.0)
+                for c in self.cells
+            ]
+        )
+
+
 class TestCampaignIntegration:
     def test_cells_are_jsonable_and_ordered(self):
-        cells = fault_sweep_cells([0.0, 0.05], seed=3)
+        runner = RecordingRunner()
+        run_fault_sweep([0.0, 0.05], seed=3, runner=runner)
+        cells = runner.cells
         assert len(cells) == 8  # 2 rates x 4 approaches
         assert cells[0].task == "faults.receiver"
         assert cells[0].params["loss_rate"] == 0.0
-        assert crash_cells(seed=3)[0].task == "faults.ha_crash"
+        assert all(c.params["seed"] == 3 for c in cells)
+        json.dumps([c.params for c in cells])
+        run_crash_study(seed=3, runner=runner)
+        assert runner.cells[0].task == "faults.ha_crash"
+
+    def test_span_breakdown_runs_the_loss_grid(self):
+        """The span breakdown's cells are the loss sweep's, task aside."""
+        losses, spans = RecordingRunner(), RecordingRunner()
+        run_fault_sweep([0.0, 0.05], seed=3, runner=losses)
+        run_span_breakdown(loss_rates=(0.0, 0.05), seed=3, runner=spans)
+        assert [c.params for c in spans.cells] == [c.params for c in losses.cells]
+        assert {c.task for c in spans.cells} == {"spans.receiver"}
 
     def test_jobs_parallelism_is_byte_identical(self, tmp_path):
         approaches = (LOCAL_MEMBERSHIP, BIDIRECTIONAL_TUNNEL)

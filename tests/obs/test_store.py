@@ -1,7 +1,7 @@
 """Unit tests for the indexed trace store."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.store import TraceStore
 from repro.sim.trace import TraceEvent
@@ -208,7 +208,9 @@ appends = st.tuples(
     st.sampled_from(NODES),
 )
 queries = st.tuples(
-    st.sampled_from(["select", "reverse", "count", "categories", "nodes", "len"]),
+    st.sampled_from(
+        ["select", "reverse", "count", "categories", "nodes", "len", "open", "drain"]
+    ),
     st.one_of(st.none(), st.sampled_from(CATS + ("absent",))),
     st.one_of(st.none(), st.sampled_from(NODES)),
     maybe_time,
@@ -227,13 +229,27 @@ def linear(live, category, node, since, until):
     ]
 
 
+#: a select opened over the 2-event ring, then drained after seven more
+#: appends have compacted the ring under it
+_APPEND = ("append", 1.0, "mld", "A")
+_OPEN_ALL = ("open", None, None, None, None)
+_OPEN_MLD = ("open", "mld", None, None, None)
+_DRAIN = ("drain", None, None, None, None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(st.none(), st.integers(1, 10)),
     st.lists(st.one_of(appends, queries), max_size=80),
 )
+@example(2, [_APPEND] * 3 + [_OPEN_ALL] + [_APPEND] * 7 + [_DRAIN])
+@example(2, [_APPEND] * 3 + [_OPEN_MLD] + [_APPEND] * 7 + [_DRAIN])
 def test_interleaved_queries_equal_linear_scan(capacity, ops):
+    """``open`` starts a select and takes its first event; ``drain``
+    finishes the oldest open one, which must yield the rest of the scan
+    taken when it was opened, whatever was appended (and evicted) since."""
     store, flat, time = TraceStore(capacity=capacity), [], 0.0
+    suspended = []  # (open select, the rest of its linear scan)
     for op in ops:
         if op[0] == "append":
             _, step, category, node = op
@@ -255,5 +271,13 @@ def test_interleaved_queries_equal_linear_scan(capacity, ops):
             assert store.categories() == sorted({e.category for e in live})
         elif kind == "nodes":
             assert store.nodes() == sorted({e.node for e in live})
+        elif kind == "open":
+            selected = store.select(category, node, since, until)
+            assert next(selected, None) == (want[0] if want else None)
+            suspended.append((selected, want[1:]))
+        elif kind == "drain":
+            if suspended:
+                selected, rest = suspended.pop(0)
+                assert list(selected) == rest
         else:
             assert len(store) == len(live) and store.events == live

@@ -119,3 +119,26 @@ class TestAssertElection:
         net.run(until=net.now + 2.0)
         ev = net.tracer.first("pim", node="D", event="graft-sent")
         assert ev is not None and ev.detail["target"] == str(p2_addr)
+
+
+def test_assert_stamps_leave_with_their_entry():
+    """An expired (S,G) entry drops its assert rate-limit stamps.
+
+    A local-sending S moves six times, 240 s apart, so each old (S,G)
+    entry expires after its 210 s data timeout.  Routers B and C assert
+    at every move; they must keep stamps only for the live entry.
+    """
+    from repro.core import LOCAL_MEMBERSHIP, PaperScenario, ScenarioConfig
+
+    sc = PaperScenario(
+        ScenarioConfig(approach=LOCAL_MEMBERSHIP, packet_interval=0.5)
+    )
+    sc.converge()
+    for k, link in enumerate(("L6", "L2", "L5", "L1", "L6", "L2")):
+        sc.move("S", link, at=40.0 + 240.0 * k)
+    sc.run_until(40.0 + 240.0 * 6)
+    for name in ("B", "C"):
+        engine = sc.paper.router(name).pim
+        assert engine._last_assert_sent, name
+        stale = [k for k, _ in engine._last_assert_sent if k not in engine.entries]
+        assert not stale, (name, len(engine._last_assert_sent), len(engine.entries))
